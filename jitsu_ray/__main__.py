@@ -252,6 +252,10 @@ def main(argv=None):
             keep_history=args.keep_history,
             cluster_by=args.cluster_by.split(",") if args.cluster_by else None,
         )
+        # the pass's write cost: every file its splits and folds wrote
+        infos = [i for s in out["splits"] for fs in s["parts"].values() for i in fs]
+        for info in out["compact"].get("parts", {}).values():
+            infos.extend(info if isinstance(info, list) else [info])
         print(
             json.dumps(
                 {
@@ -260,6 +264,7 @@ def main(argv=None):
                         for s in out["splits"]
                     ],
                     "compacted_parts": len(out["compact"].get("parts", {})),
+                    "bytes_written": sum(i["bytes"] for i in infos),
                     "vacuumed": (out["vacuum"] or {}).get("removed_now", 0),
                 }
             )

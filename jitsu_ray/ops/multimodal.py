@@ -109,12 +109,23 @@ class HeaderProbeDecoder(DecoderBackend):
         elif data[:6] in (b"GIF87a", b"GIF89a") and len(data) >= 10:
             w, h = struct.unpack("<HH", data[6:10])
             ch = 3  # palette entries are RGB
-        elif data[:2] == b"BM" and len(data) >= 30:
-            # BITMAPINFOHEADER: int32 width/height at 18, bpp at 28
-            w, h = struct.unpack("<ii", data[18:26])
-            h = abs(h)  # negative height = top-down row order
-            bpp = struct.unpack("<H", data[28:30])[0]
-            ch = 4 if bpp == 32 else (3 if bpp == 24 else 1)
+        elif data[:2] == b"BM" and len(data) >= 18:
+            # the DIB header size at 14 names the header layout
+            dib = struct.unpack("<I", data[14:18])[0]
+            bpp = None
+            if dib == 12 and len(data) >= 26:
+                # OS/2 BITMAPCOREHEADER: uint16 width/height at 18, bpp at 24
+                w, h = struct.unpack("<HH", data[18:22])
+                bpp = struct.unpack("<H", data[24:26])[0]
+            elif dib >= 40 and len(data) >= 30:
+                # BITMAPINFOHEADER (and its v4/v5 extensions): int32
+                # width/height at 18, bpp at 28
+                w, h = struct.unpack("<ii", data[18:26])
+                h = abs(h)  # negative height = top-down row order
+                bpp = struct.unpack("<H", data[28:30])[0]
+            # any other header size below 40 is not a known layout
+            if bpp is not None:
+                ch = 4 if bpp == 32 else (3 if bpp == 24 else 1)
         elif data[:2] == b"\xff\xd8":
             # walk JPEG markers to the first frame header (SOFn)
             i = 2
@@ -129,6 +140,11 @@ class HeaderProbeDecoder(DecoderBackend):
                     # just one keeps the next 0xFF pair in frame
                     i += 1
                     continue
+                if marker == 0xDA:
+                    # SOS: entropy-coded data follows, where stuffed
+                    # FF 00 pairs are not segments. A frame header must
+                    # come before it; none did -> ValueError below
+                    break
                 if marker in (0xD8, 0x01) or 0xD0 <= marker <= 0xD7:
                     i += 2  # standalone markers carry no length
                     continue

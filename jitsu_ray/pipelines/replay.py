@@ -247,10 +247,13 @@ class Replayer:
         ``split_over_bytes``: auto partition SPLITTING — at each
         auto-compaction trigger, run ``lake.maintain`` instead of a bare
         compact: any active partition whose live bytes exceed the budget
-        is split (hash-refinement children), then byte-bounded tiered
-        compaction folds under the same budget and a keep_history=0
-        vacuum GCs replaced files (matching the immediate-GC disk bound
-        of the plain path). The streaming loop is the lake's ONLY
+        is split into hash-refinement children — each child written
+        once, already LWW-resolved under the same budget and the
+        spool-aware tombstone watermark, so it needs no follow-up fold
+        — then byte-bounded tiered compaction folds the remaining
+        partitions and a keep_history=0 vacuum GCs replaced files
+        (matching the immediate-GC disk bound of the plain path). The
+        streaming loop is the lake's ONLY
         applier, so the split's no-concurrent-writer contract holds by
         construction — this is where a lake created at N partitions
         grows its topology while the stream keeps running.
@@ -278,6 +281,13 @@ class Replayer:
         prefetch just falls back to the synchronous read (and retries
         re-derive the window fresh — a partially-consumed Dataset must
         never be re-applied).
+
+        ENRICHERS therefore run on the prefetch thread, CONCURRENTLY
+        with the apply of the previous window (and a retry re-derives
+        window N on the main thread while window N+1's enrichers may be
+        running on the prefetch thread): they must be pure and
+        thread-safe — no shared mutable state, no reliance on running
+        serially or in window order.
 
         Returns run metrics incl. per-window commit latency p50/p95/max
         (seconds) and retried/spooled counts."""

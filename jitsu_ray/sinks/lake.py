@@ -54,6 +54,7 @@ Scale notes (the 100 TB design points):
 from __future__ import annotations
 
 import json
+import math
 import os
 import tempfile
 
@@ -76,26 +77,30 @@ from ..util import (
 )
 
 
+def _bounded_runs(items, sizes: list[float], budget: float) -> list[list]:
+    """Consecutive runs of ``items`` whose ``sizes`` sum within
+    ``budget``. The first item of a run always joins even when alone
+    over budget, so an oversized item forms its own singleton run."""
+    runs: list[list] = []
+    cur: list = []
+    cur_bytes = 0.0
+    for item, sz in zip(items, sizes):
+        if cur and cur_bytes + sz > budget:
+            runs.append(cur)
+            cur, cur_bytes = [], 0.0
+        cur.append(item)
+        cur_bytes += sz
+    if cur:
+        runs.append(cur)
+    return runs
+
+
 def _byte_bounded_groups(files: list[str], budget: int) -> list[list[str]]:
     """Consecutive runs of ``files`` (ledger order) whose on-disk bytes
     stay within ``budget`` — the shared grouping rule of size-tiered
-    compaction and byte-bounded splits. The first file of a run always
-    joins even when alone over budget, so an oversized file forms its
-    own singleton group (compaction passes it through; a split still
-    processes it file-at-a-time)."""
-    groups: list[list[str]] = []
-    cur: list[str] = []
-    cur_bytes = 0
-    for f in files:
-        sz = os.path.getsize(f)
-        if cur and cur_bytes + sz > budget:
-            groups.append(cur)
-            cur, cur_bytes = [], 0
-        cur.append(f)
-        cur_bytes += sz
-    if cur:
-        groups.append(cur)
-    return groups
+    compaction and byte-bounded splits (compaction passes a singleton
+    group through; a split still routes it file-at-a-time)."""
+    return _bounded_runs(files, [os.path.getsize(f) for f in files], budget)
 
 
 def active_moduli(base: int, splits: list) -> dict[int, int]:
@@ -214,6 +219,77 @@ def _key_zone_stats(tbl: pa.Table, key_cols: list[str]) -> dict:
                     bounds = [lo, hi]
         out[c] = bounds
     return out
+
+
+def _drop_old_tombstones(tbl: pa.Table, watermark: int) -> pa.Table:
+    """Physically drop tombstone winners with commit_seq <= watermark —
+    legal only on a fold that covers ALL of a partition's rows (see
+    :meth:`LakeTable.compact`, invariant (b))."""
+    if watermark <= 0:
+        return tbl
+    drop = pc.and_(
+        pc.equal(tbl[OP_COL], TOMBSTONE),
+        pc.less_equal(tbl[SEQ_COL], watermark),
+    )
+    return tbl.filter(pc.invert(drop))
+
+
+def _write_lake_files(
+    tbl: pa.Table,
+    lake_dir: str,
+    part: int,
+    stem: str,
+    key_cols: list[str],
+    zone_cols: list[str],
+    cluster_by: list[str] | None = None,
+    chunk_bytes: int | None = None,
+) -> list[dict]:
+    """Write one RESOLVED table (one row per key) as lake file(s) under
+    ``part=<part>/`` and return one ledger info per file — the single
+    writer behind window deltas, compaction folds and split children.
+    Each file is written tmp+replace at a deterministic path (a retry
+    converges), gets its key Bloom sidecar, and its info records
+    ``file``, ``rows``, on-disk ``bytes`` and the zone-map
+    ``key_stats``.
+
+    ``cluster_by``: CLUSTERED rewrite — sort by these columns and cut
+    into range-disjoint chunk files ``<stem>-cNNN`` of about
+    ``chunk_bytes`` Arrow bytes (default 64 MB), so each file's zone map
+    covers a NARROW band and ``scan_range`` prunes most files
+    (lexicographic Z-ordering; safe because the table holds one
+    resolved row per key, so intra-table row order never decides an LWW
+    tie). Chunk infos j >= 1 ANCHOR to their predecessor
+    (``insert_after``) so the whole chunk run replays at the first
+    chunk's position."""
+    part_dir = os.path.join(lake_dir, f"part={part:05d}")
+    os.makedirs(part_dir, exist_ok=True)
+    chunks = [tbl]
+    if cluster_by and tbl.num_rows:
+        tbl = tbl.sort_by([(c, "ascending") for c in cluster_by])
+        n_chunks = max(1, -(-tbl.nbytes // (chunk_bytes or (64 << 20))))
+        rows_per = -(-tbl.num_rows // n_chunks)
+        chunks = [tbl.slice(i, rows_per) for i in range(0, tbl.num_rows, rows_per)]
+    infos: list[dict] = []
+    for j, chunk in enumerate(chunks):
+        name = stem if len(chunks) == 1 else f"{stem}-c{j:03d}"
+        rel = f"part={part:05d}/{name}.parquet"
+        final = os.path.join(lake_dir, rel)
+        fd, tmp = tempfile.mkstemp(dir=part_dir, suffix=".tmp")
+        os.close(fd)
+        chunk = chunk.combine_chunks()
+        pq.write_table(chunk, tmp)
+        os.replace(tmp, final)
+        _write_key_bloom(chunk, key_cols, final)
+        info = {
+            "file": rel,
+            "rows": chunk.num_rows,
+            "bytes": os.path.getsize(final),
+            "key_stats": _key_zone_stats(chunk, zone_cols),
+        }
+        if j:
+            info["insert_after"] = infos[-1]["file"]
+        infos.append(info)
+    return infos
 
 
 @ray.remote(num_cpus=0)
@@ -338,28 +414,12 @@ class PartitionMerger:
                 if idx.size == 0:
                     continue
                 merged = all_mine.take(idx)
-                part_dir = os.path.join(self.lake_dir, f"part={p:05d}")
-                os.makedirs(part_dir, exist_ok=True)
-                rel = f"part={p:05d}/delta-{window_tag}.parquet"
-                final = os.path.join(self.lake_dir, rel)
-                fd, tmp = tempfile.mkstemp(dir=part_dir, suffix=".tmp")
-                os.close(fd)
-                pq.write_table(merged, tmp)
-                os.replace(tmp, final)  # deterministic path => idempotent retry
-                _write_key_bloom(merged, self.key_cols, final)
-                n_tomb = merged.filter(pc.equal(merged[OP_COL], TOMBSTONE)).num_rows
-                out.append(
-                    {
-                        "part": p,
-                        "file": rel,
-                        "rows": merged.num_rows,
-                        "tombstones": n_tomb,
-                        "bytes": os.path.getsize(final),
-                        "key_stats": _key_zone_stats(
-                            merged, self.key_cols + self.stats_cols
-                        ),
-                    }
+                [info] = _write_lake_files(
+                    merged, self.lake_dir, p, f"delta-{window_tag}",
+                    self.key_cols, self.key_cols + self.stats_cols,
                 )
+                n_tomb = merged.filter(pc.equal(merged[OP_COL], TOMBSTONE)).num_rows
+                out.append({"part": p, "tombstones": n_tomb, **info})
         self.buf = []
         self.buf_rows = 0
         return out
@@ -1365,6 +1425,19 @@ class LakeTable:
 
     # -- maintenance --------------------------------------------------------
 
+    def _check_cluster_by(self, cluster_by: list[str] | None) -> None:
+        """Fail fast on clustering columns without zone maps: those are
+        only recorded for key/stats columns, so clustering on anything
+        else pays the sort + extra files and prunes NOTHING, silently."""
+        zone = set(self.key_cols) | set(self.stats_cols)
+        bad = [c for c in cluster_by or [] if c not in zone]
+        if bad:
+            raise ValueError(
+                f"cluster_by columns {bad} are not zone-map columns; "
+                f"usable: key_cols {self.key_cols} + stats_cols "
+                f"{self.stats_cols} (declare stats_cols at create)"
+            )
+
     def compact(
         self,
         min_files: int = 2,
@@ -1388,7 +1461,11 @@ class LakeTable:
         reads at most this many input bytes: a partition's live files
         are grouped into CONSECUTIVE runs (ledger order) under the
         budget; each run of >= 2 files folds into one base, single-file
-        runs pass through untouched. Repeated tiered compactions
+        runs pass through untouched. A partition whose groups are ALL
+        singletons (adjacent files each near or over the budget) would
+        never fold, so its cheapest adjacent pair folds instead — one
+        over-budget fold per partition, marked ``"fallback": true`` in
+        its ledger info. Repeated tiered compactions
         converge geometrically (N small deltas -> N/k tier bases -> ...)
         while every task stays byte-bounded. Correctness under partial
         folds relies on two invariants: (a) the ledger replay INSERTS a
@@ -1408,16 +1485,14 @@ class LakeTable:
         ``cluster_by``: CLUSTERED rewrite (the lakehouse OPTIMIZE/
         Z-ORDER idea, lexicographic): each fold's output is sorted by
         these columns and cut into range-disjoint chunk files (sized by
-        ``max_input_bytes``, default 64 MB), so every file's ledger
-        zone map covers a narrow band of the clustering columns and
-        ``scan_range`` over them prunes most files — without it a
-        random-ordered base spans the whole domain and nothing ever
-        prunes. Use the partition's dominant range-scan column(s)
-        (``stats_cols`` entries, typically a time or score band). Safe
-        at any point: a fold holds one resolved row per key, so
-        intra-fold row order never decides an LWW tie; only the first
-        chunk carries the fold's ``replaces`` (the rest append — their
-        key sets are disjoint).
+        ``max_input_bytes``, default 64 MB; see ``_write_lake_files``),
+        so every file's ledger zone map covers a narrow band of the
+        clustering columns and ``scan_range`` over them prunes most
+        files — without it a random-ordered base spans the whole domain
+        and nothing ever prunes. Use the partition's dominant
+        range-scan column(s) (``stats_cols`` entries, typically a time
+        or score band). Only the first chunk carries the fold's
+        ``replaces``; the rest anchor to it (``insert_after``).
 
         Raw Ray tasks (not Dataset) by design: this is per-partition file
         maintenance with no cross-partition dataflow — each task reads
@@ -1427,18 +1502,7 @@ class LakeTable:
         """
         if vacuum not in ("immediate", "defer"):
             raise ValueError(f"vacuum must be 'immediate' or 'defer', got {vacuum!r}")
-        if cluster_by:
-            zone = set(self.key_cols) | set(self.stats_cols)
-            bad = [c for c in cluster_by if c not in zone]
-            if bad:
-                # fail fast: zone maps are only recorded for key/stats
-                # columns, so clustering on anything else pays the sort
-                # + extra files and prunes NOTHING, silently
-                raise ValueError(
-                    f"cluster_by columns {bad} are not zone-map columns; "
-                    f"usable: key_cols {self.key_cols} + stats_cols "
-                    f"{self.stats_cols} (declare stats_cols at create)"
-                )
+        self._check_cluster_by(cluster_by)
         target = self.full_arrow_schema()
         key_cols = self.key_cols
         zone_cols = self.key_cols + self.stats_cols
@@ -1447,67 +1511,25 @@ class LakeTable:
 
         @ray.remote
         def compact_fold(
-            part: int, files: list[str], tier: int, tag: str, drop_tombs: bool
+            part: int, files: list[str], tier: int, tag: str, drop_tombs: bool,
+            fallback: bool,
         ) -> tuple[int, int, list[dict]]:
             tbl = pq.ParquetDataset(files, schema=target).read()
             merged = resolve_keep_tombstones(tbl, key_cols)
-            if drop_tombs and tombstone_watermark > 0:
-                drop = pc.and_(
-                    pc.equal(merged[OP_COL], TOMBSTONE),
-                    pc.less_equal(merged[SEQ_COL], tombstone_watermark),
-                )
-                merged = merged.filter(pc.invert(drop))
-            part_dir = os.path.join(lake_dir, f"part={part:05d}")
-            chunks = [merged]
-            if cluster_by and merged.num_rows:
-                # CLUSTERED rewrite: sort the fold by the clustering
-                # columns, then cut it into range-disjoint chunk files
-                # so each file's ledger zone map covers a NARROW band —
-                # scan_range then prunes most files instead of none
-                # (lexicographic Z-ordering; safe because the fold holds
-                # one resolved row per key, so intra-fold row order
-                # never decides an LWW tie)
-                merged = merged.sort_by([(c, "ascending") for c in cluster_by])
-                budget = max_input_bytes or (64 << 20)
-                n_chunks = max(1, -(-merged.nbytes // budget))
-                rows_per = -(-merged.num_rows // n_chunks)
-                chunks = [
-                    merged.slice(i, rows_per)
-                    for i in range(0, merged.num_rows, rows_per)
-                ]
-            infos = []
-            for j, chunk in enumerate(chunks):
-                rel = (
-                    f"part={part:05d}/base-{tag}.parquet"
-                    if len(chunks) == 1
-                    else f"part={part:05d}/base-{tag}-c{j:03d}.parquet"
-                )
-                fd, tmp = tempfile.mkstemp(dir=part_dir, suffix=".tmp")
-                os.close(fd)
-                chunk = chunk.combine_chunks()
-                pq.write_table(chunk, tmp)
-                os.replace(tmp, os.path.join(lake_dir, rel))
-                _write_key_bloom(chunk, key_cols, os.path.join(lake_dir, rel))
-                info = {
-                    "file": rel,
-                    # only the first chunk replaces the inputs; later
-                    # chunks ANCHOR to their predecessor (insert_after)
-                    # so the whole chunk run sits at the fold's replay
-                    # position — a bare append would leapfrog newer
-                    # tiers/concurrent deltas and flip equal-seq LWW
-                    # ties back to pre-repair values
-                    "replaces": [
-                        os.path.relpath(f, lake_dir) for f in files
-                    ]
-                    if j == 0
-                    else [],
-                    "rows": chunk.num_rows,
-                    "bytes": os.path.getsize(os.path.join(lake_dir, rel)),
-                    "key_stats": _key_zone_stats(chunk, zone_cols),
-                }
-                if j > 0:
-                    info["insert_after"] = infos[-1]["file"]
-                infos.append(info)
+            if drop_tombs:
+                merged = _drop_old_tombstones(merged, tombstone_watermark)
+            infos = _write_lake_files(
+                merged, lake_dir, part, f"base-{tag}", key_cols, zone_cols,
+                cluster_by, max_input_bytes,
+            )
+            # only the first chunk replaces the inputs; later chunks
+            # anchor to their predecessor (insert_after) so the chunk
+            # run sits at the fold's replay position
+            infos[0]["replaces"] = [os.path.relpath(f, lake_dir) for f in files]
+            for info in infos[1:]:
+                info["replaces"] = []
+            if fallback:
+                infos[0]["fallback"] = True
             return part, tier, infos
 
         todo = {p: fs for p, fs in self.live_files().items() if len(fs) >= min_files}
@@ -1521,15 +1543,27 @@ class LakeTable:
                 else _byte_bounded_groups(fs, max_input_bytes)
             )
             full_fold = len(groups) == 1 and len(groups[0]) == len(fs)
-            for t, grp in enumerate(groups):
-                if len(grp) < 2 and not full_fold:
-                    continue  # a lone (possibly huge) tier passes through;
-                    # a FULL single-file fold still runs (min_files=1 +
-                    # tombstone_watermark relies on it)
+            # a lone (possibly huge) tier passes through; a FULL
+            # single-file fold still runs (min_files=1 +
+            # tombstone_watermark relies on it)
+            folds = [
+                (t, grp, full_fold)
+                for t, grp in enumerate(groups)
+                if len(grp) >= 2 or full_fold
+            ]
+            fallback = not folds and len(fs) >= 2
+            if fallback:
+                # TIER STALL: every byte-bounded group is a singleton
+                # (adjacent files each near or over the budget), so no
+                # fold would ever run. Fold the adjacent pair with the
+                # fewest bytes — one over-budget fold per partition per
+                # pass, so the file count still converges
+                sizes = [os.path.getsize(f) for f in fs]
+                i = min(range(len(fs) - 1), key=lambda k: sizes[k] + sizes[k + 1])
+                folds = [(i, fs[i : i + 2], len(fs) == 2)]
+            for t, grp, full in folds:
                 tag = f"{gen:08d}" if full_fold else f"{gen:08d}-{t:03d}"
-                tasks.append(
-                    compact_fold.remote(p, grp, t, tag, full_fold)
-                )
+                tasks.append(compact_fold.remote(p, grp, t, tag, full, fallback))
         if not tasks:
             return {"kind": "compact", "parts": {}}
         results = ray.get(tasks)
@@ -1564,6 +1598,8 @@ class LakeTable:
         part: int,
         factor: int = 2,
         max_input_bytes: int | None = None,
+        tombstone_watermark: int = 0,
+        cluster_by: list[str] | None = None,
     ) -> dict:
         """LEDGER-RECORDED partition split: rewrite one active
         partition's live files into ``factor`` children so a lake
@@ -1581,14 +1617,26 @@ class LakeTable:
         its merger pool, ``lookup`` routes through the same refinement,
         and reads just see the children's files.
 
-        Mechanics: the parent's live files are processed in LEDGER
-        ORDER in byte-bounded groups (``max_input_bytes``, default one
-        group per file — each task reads one file), each routed row
-        lands in its child's output for that group, and per-child file
-        order preserves the parent's file order — so equal-seq LWW tie
-        resolution is unchanged. No cross-file fold happens (splitting
-        is routing, not compaction), so memory per task is bounded by
-        the group byte budget regardless of partition size.
+        Mechanics — ROUTE AND FOLD in one rewrite, so each byte of a
+        split partition is written once, already resolved (a same-pass
+        compaction then has nothing left to fold): the parent's live
+        files are read in LEDGER ORDER in byte-bounded groups
+        (``max_input_bytes``, default one group per file); each group's
+        routing task returns its per-child slices as separate Ray
+        objects. One fold task per child then concatenates its slices
+        in group order — so the last-arrival equal-seq tie rule sees
+        the parent's file order — LWW-resolves them (keeping
+        tombstones) and writes the child through the same writer as
+        compaction. Task input stays bounded: a child's slices fold in
+        consecutive runs whose on-disk source bytes (group bytes /
+        factor) fit ``max_input_bytes``; a child whose input fits gets
+        exactly one file, otherwise one file per run (in run order).
+
+        ``tombstone_watermark`` follows compaction's full-fold rule:
+        tombstones at or below it are dropped only when ONE run covers
+        all of a child's rows. ``cluster_by`` sorts each child's fold
+        and cuts it into range-disjoint chunk files exactly like
+        :meth:`compact`.
 
         Parent files are NOT deleted (a split always defers GC):
         time travel to pre-split state keeps working until an explicit
@@ -1598,6 +1646,7 @@ class LakeTable:
         """
         if factor < 2:
             raise ValueError("factor must be >= 2")
+        self._check_cluster_by(cluster_by)
         splits = self.ledger.splits()
         act = active_moduli(self.num_partitions, splits)
         if part not in act:
@@ -1621,59 +1670,65 @@ class LakeTable:
             else _byte_bounded_groups(live, max_input_bytes)
         )
 
-        @ray.remote
-        def split_group(gi: int, files: list[str]) -> list[tuple[int, int, dict]]:
+        @ray.remote(num_returns=factor)
+        def route_group(files: list[str]) -> tuple[pa.Table, ...]:
             import numpy as np
 
+            from ..util import group_take_indices
+
             tbl = pq.ParquetDataset(files, schema=target).read()
-            if tbl.num_rows == 0:
-                return []
             ids = (
                 hash_mod_column(tbl, key_cols, new_mod)
                 .to_numpy(zero_copy_only=False)
                 .astype(np.int64)
             )
-            out = []
-            for child in children:
-                idx = np.nonzero(ids == child)[0]
-                if idx.size == 0:
-                    continue
-                sub = tbl.take(idx)  # take preserves input row order
-                sub = sub.set_column(
+            # child j owns ids == part + j * modulus; the stable argsort
+            # keeps each slice in input row order
+            return tuple(
+                tbl.take(idx).set_column(
                     0, PART_COL, pa.array(np.full(idx.size, child, np.int32))
                 )
-                part_dir = os.path.join(lake_dir, f"part={child:05d}")
-                os.makedirs(part_dir, exist_ok=True)
-                rel = f"part={child:05d}/split-{gen:08d}-{gi:04d}.parquet"
-                fd, tmp = tempfile.mkstemp(dir=part_dir, suffix=".tmp")
-                os.close(fd)
-                pq.write_table(sub, tmp)
-                os.replace(tmp, os.path.join(lake_dir, rel))
-                _write_key_bloom(sub, key_cols, os.path.join(lake_dir, rel))
-                out.append(
-                    (
-                        child,
-                        gi,
-                        {
-                            "file": rel,
-                            "rows": sub.num_rows,
-                            "bytes": os.path.getsize(os.path.join(lake_dir, rel)),
-                            "key_stats": _key_zone_stats(sub, zone_cols),
-                        },
-                    )
+                for child, idx in zip(
+                    children, group_take_indices((ids - part) // modulus, factor)
                 )
-            return out
-
-        results = [
-            r
-            for rs in ray.get(
-                [split_group.remote(gi, grp) for gi, grp in enumerate(groups)]
             )
-            for r in rs
-        ]
-        by_child: dict[int, list[tuple[int, dict]]] = {c: [] for c in children}
-        for child, gi, info in results:
-            by_child[child].append((gi, info))
+
+        @ray.remote
+        def fold_child(child: int, stem: str, full: bool, *slices: pa.Table) -> list[dict]:
+            tbl = pa.concat_tables(slices)
+            if tbl.num_rows == 0:
+                return []
+            merged = resolve_keep_tombstones(tbl, key_cols)
+            if full:
+                merged = _drop_old_tombstones(merged, tombstone_watermark)
+            return _write_lake_files(
+                merged, lake_dir, child, stem, key_cols, zone_cols,
+                cluster_by, max_input_bytes,
+            )
+
+        slices = [route_group.remote(grp) for grp in groups]
+        # every child receives ~1/factor of each group's on-disk bytes
+        runs = _bounded_runs(
+            range(len(groups)),
+            [sum(os.path.getsize(f) for f in grp) / factor for grp in groups],
+            math.inf if max_input_bytes is None else max_input_bytes,
+        )
+        folds = {
+            child: [
+                fold_child.remote(
+                    child,
+                    f"split-{gen:08d}" if len(runs) == 1 else f"split-{gen:08d}-{ri:04d}",
+                    len(runs) == 1,
+                    *(slices[g][j] for g in run),
+                )
+                for ri, run in enumerate(runs)
+            ]
+            for j, child in enumerate(children)
+        }
+        parts = {
+            str(child): [info for infos in ray.get(refs) for info in infos]
+            for child, refs in folds.items()
+        }
         entry = {
             "kind": "split",
             "parent": part,
@@ -1681,13 +1736,9 @@ class LakeTable:
             "factor": factor,
             "children": children,
             "replaces": [os.path.relpath(f, self.dir) for f in live],
-            # per-child infos in GROUP order = parent file order: the
+            # per-child infos in RUN order = parent file order: the
             # replay appends them in this order, preserving LWW ties
-            "parts": {
-                str(c): [info for _, info in sorted(folds)]
-                for c, folds in by_child.items()
-                if folds
-            },
+            "parts": {c: infos for c, infos in parts.items() if infos},
         }
         self.ledger.append(entry)
         self.ledger.checkpoint()
@@ -1709,7 +1760,11 @@ class LakeTable:
         1. SPLIT every active partition whose live bytes exceed
            ``max_partition_bytes`` (factor = ceil(bytes / budget),
            clamped to ``max_split_factor``, so each child lands near or
-           under the budget in one pass).
+           under the budget in one pass). The split routes AND folds:
+           each child is written once, LWW-resolved, under
+           ``max_input_bytes``, with this pass's
+           ``tombstone_watermark`` and ``cluster_by`` — so a child whose
+           input fits the budget is already a single compacted file.
         2. Size-tiered COMPACT partitions holding >= ``min_files`` live
            files under ``max_input_bytes`` (defaults to the partition
            budget), with GC DEFERRED.
@@ -1718,7 +1773,8 @@ class LakeTable:
 
         Splits before compaction: folding an oversized partition first
         would burn a byte-bounded fold pass on files the split is about
-        to rewrite anyway. Returns {"splits", "compact", "vacuum"}.
+        to rewrite anyway, and the split's children need no fold
+        afterwards. Returns {"splits", "compact", "vacuum"}.
         Same exclusivity contract as split_partition (no concurrent
         window applier)."""
         splits_done = []
@@ -1739,6 +1795,8 @@ class LakeTable:
                             p,
                             factor=factor,
                             max_input_bytes=max_input_bytes or max_partition_bytes,
+                            tombstone_watermark=tombstone_watermark,
+                            cluster_by=cluster_by,
                         )
                     )
         compact_entry = self.compact(

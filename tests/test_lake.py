@@ -1552,7 +1552,7 @@ def test_partition_split_routes_and_preserves_state(ray_session, tmp_path):
     assert entry["children"] == [0, 2]
     assert sorted(active_moduli(2, lake.ledger.splits())) == [0, 1, 2]
     assert active_moduli(2, lake.ledger.splits()) == {0: 4, 1: 2, 2: 4}
-    assert _state(lake) == before  # split is pure routing
+    assert _state(lake) == before  # a split never changes state
     # pre-split time travel still works (parent files deferred)
     assert len(lake.read(as_of=20).take_all()) == 20
     # a new window routes to the refined topology: no file may land in
@@ -1620,6 +1620,214 @@ def test_maintain_policy_pass(ray_session, tmp_path):
     # idempotent-ish second pass: no state change
     lake.maintain(max_partition_bytes=budget, min_files=2, keep_history=0)
     assert _state(lake)[("r0", "p0")] == before[("r0", "p0")]
+
+
+def _noisy(rnd, n: int = 8) -> str:
+    """Incompressible payload, so on-disk bytes track row counts."""
+    return "".join(f"{rnd.getrandbits(128):032x}" for _ in range(n))
+
+
+def _child_rows(lake, entry) -> dict:
+    """{child: concatenated rows of the split's files for that child}."""
+    return {
+        int(c): pa.concat_tables(
+            [pq.read_table(os.path.join(lake.dir, i["file"])) for i in infos]
+        )
+        for c, infos in entry["parts"].items()
+    }
+
+
+def test_maintain_split_writes_each_child_once(ray_session, tmp_path):
+    """maintain() on a lake with one oversized partition: the split
+    routes AND folds, so each child is ONE file holding one resolved
+    row per key (no superseded versions), and the same pass's
+    compaction has nothing left to fold for the children."""
+    import random
+
+    rnd = random.Random(3)
+    lake = LakeTable.create(str(tmp_path / "lake"), ["repo", "path"], 1)
+    seq = 0
+    for w in range(4):  # four versions of every key
+        rows = []
+        for i in range(60):
+            seq += 1
+            rows.append(ev(seq, "update", f"r{i % 4}", f"p{i}", f"c{w}", "py", _noisy(rnd)))
+        lake.apply_window(make_ds(rows), seq - 60, seq)
+    before = _state(lake)
+    total = sum(os.path.getsize(f) for f in lake.live_files()[0])
+    budget = total // 2 + 1  # factor 2; each child's input fits one run
+    out = lake.maintain(max_partition_bytes=budget, min_files=2)
+    [split] = out["splits"]
+    assert split["factor"] == 2 and split["children"] == [0, 1]
+    live = lake.live_files()
+    for c in split["children"]:
+        assert len(split["parts"][str(c)]) == 1
+        assert len(live[c]) == 1
+    assert not set(out["compact"].get("parts", {})) & {"0", "1"}
+    # the children hold winners only: 60 keys, not 240 versions
+    got = _child_rows(lake, split)
+    assert sum(t.num_rows for t in got.values()) == 60
+    assert _state(lake) == before
+    # bytes in the ledger are the real on-disk sizes
+    for infos in split["parts"].values():
+        for i in infos:
+            assert i["bytes"] == os.path.getsize(os.path.join(lake.dir, i["file"]))
+
+
+def test_split_fold_tombstone_watermark_rule(ray_session, tmp_path):
+    """Tombstones at or below the watermark are dropped only when ONE
+    fold covers all of a child's rows: dropped by a maintain() split
+    whose children fit the budget, kept at watermark 0, and kept when
+    max_input_bytes forces a child into several runs — each run then
+    reads a consecutive, byte-bounded slice of the parent files."""
+    import random
+
+    def build(name):
+        rnd = random.Random(11)
+        lake = LakeTable.create(str(tmp_path / name), ["repo", "path"], 1)
+        for w in range(6):  # distinct keys per window...
+            rows = [
+                ev(w * 40 + i + 1, "insert", f"r{i % 3}", f"w{w}p{i}", "c", "py", _noisy(rnd))
+                for i in range(40)
+            ]
+            lake.apply_window(make_ds(rows), w * 40, w * 40 + 40)
+        # ...then a window deleting ten keys of the first window
+        dels = [ev(241 + i, "delete", f"r{i % 3}", f"w0p{i}") for i in range(10)]
+        lake.apply_window(make_ds(dels), 240, 250)
+        return lake
+
+    def tombstones(lake, entry):
+        return sum(
+            t.filter(pa.compute.equal(t["op"], "delete")).num_rows
+            for t in _child_rows(lake, entry).values()
+        )
+
+    # full fold + watermark: the tombstones go
+    lake = build("full")
+    before = _state(lake)
+    total = sum(os.path.getsize(f) for f in lake.live_files()[0])
+    out = lake.maintain(max_partition_bytes=total // 2 + 1, min_files=99,
+                        tombstone_watermark=250)
+    [split] = out["splits"]
+    assert all(len(infos) == 1 for infos in split["parts"].values())
+    assert tombstones(lake, split) == 0
+    assert _state(lake) == before and len(before) == 230
+
+    # watermark 0 (the direct-call default): the tombstones stay
+    lake = build("wm0")
+    entry = lake.split_partition(0, factor=2)
+    assert tombstones(lake, entry) == 10
+    assert _state(lake) == before
+
+    # several runs per child: partial folds keep tombstones, and every
+    # run's input is a consecutive slice within the byte budget
+    lake = build("runs")
+    parents = lake.live_files()[0]
+    sizes = [os.path.getsize(f) for f in parents]
+    budget = max(sizes) + 1  # about two parent files per child run
+    entry = lake.split_partition(0, factor=2, max_input_bytes=budget,
+                                 tombstone_watermark=250)
+    assert tombstones(lake, entry) == 10
+    assert _state(lake) == before
+    for c, infos in entry["parts"].items():
+        assert len(infos) > 1
+        covered = []
+        for i in infos:
+            t = pq.read_table(os.path.join(lake.dir, i["file"]))
+            # window w holds seqs (40w, 40w+40]; the delete window is 6
+            src = sorted({(s - 1) // 40 for s in t["commit_seq"].to_pylist()})
+            assert src == list(range(src[0], src[-1] + 1))  # consecutive
+            assert len(src) == 1 or sum(sizes[k] for k in src) / 2 <= budget
+            covered.extend(src)
+        assert covered == sorted(covered)  # run order = parent file order
+
+
+@pytest.mark.parametrize("max_input_bytes", [None, 1])
+def test_split_fold_keeps_equal_seq_tie_order(ray_session, tmp_path, max_input_bytes):
+    """A same-seq rewrite force-committed AFTER the original version
+    must still win once a split folds both into one child (last arrival
+    wins the equal-seq tie: the fold concatenates slices in parent file
+    order) — with one run per child and with one run per parent file —
+    and after vacuum removes the parent files."""
+    lake = LakeTable.create(str(tmp_path / "lake"), ["repo", "path"], 1)
+    rows = [ev(i + 1, "insert", "r", f"p{i}", "c", "py", f"v{i + 1}") for i in range(30)]
+    lake.apply_window(make_ds(rows[:15]), 0, 15)
+    lake.apply_window(make_ds(rows[15:]), 15, 30)
+    lake.apply_window(make_ds([ev(7, "insert", "r", "p6", "c", "py", "v7-late")]),
+                      0, 1, force=True)
+    assert _state(lake)[("r", "p6")][2] == "v7-late"
+    entry = lake.split_partition(0, factor=2, max_input_bytes=max_input_bytes)
+    assert _state(lake)[("r", "p6")][2] == "v7-late"
+    assert lake.lookup([{"repo": "r", "path": "p6"}])["content"].to_pylist() == ["v7-late"]
+    if max_input_bytes is None:
+        assert all(len(i) == 1 for i in entry["parts"].values())
+    assert lake.vacuum(keep_history=0)["removed"]
+    assert _state(lake)[("r", "p6")][2] == "v7-late"
+    assert len(_state(lake)) == 30
+
+
+def test_maintain_clustered_split_children_prune(ray_session, tmp_path):
+    """maintain(cluster_by=...) clusters the split children themselves:
+    each child's fold is sorted and cut into chunk files whose zone maps
+    are range-disjoint, so a narrow scan_range band prunes most of them
+    without waiting for a compaction."""
+    import random
+
+    rnd = random.Random(5)
+    lake = LakeTable.create(
+        str(tmp_path / "lake"), ["repo", "path"], 1, stats_cols=["commit"]
+    )
+    vals = rnd.sample(range(100000), 600)
+    rows = [
+        ev(i + 1, "insert", "r", f"p{i}", f"{v:06d}", "py", "x" * 300)
+        for i, v in enumerate(vals)
+    ]
+    lake.apply_window(make_ds(rows[:300]), 0, 300)
+    lake.apply_window(make_ds(rows[300:]), 300, 600)
+    before = {r["path"]: r["commit"] for r in lake.read().take_all()}
+    band = ("020000", "029999")
+    want = {p: c for p, c in before.items() if band[0] <= c <= band[1]}
+    total = sum(os.path.getsize(f) for f in lake.live_files()[0])
+    out = lake.maintain(max_partition_bytes=total // 2 + 1, min_files=99,
+                        cluster_by=["commit"])
+    [split] = out["splits"]
+    for infos in split["parts"].values():
+        assert len(infos) > 1  # the child's fold really chunked
+        bounds = [i["key_stats"]["commit"] for i in infos]
+        assert all(a[1] < b[0] for a, b in zip(bounds, bounds[1:]))
+    got = {r["path"]: r["commit"] for r in lake.scan_range("commit", *band).take_all()}
+    assert got == want
+    st = lake.last_scan_stats
+    assert st["files_full"] < st["files_total"]
+    assert {r["path"]: r["commit"] for r in lake.read().take_all()} == before
+
+
+def test_tiered_compaction_pairs_stalled_singletons(ray_session, tmp_path):
+    """Files each just over max_input_bytes form all-singleton groups,
+    which would never fold: the cheapest adjacent pair folds instead
+    (one over-budget fold per partition, marked fallback) — the file
+    count drops pass after pass and state is unchanged."""
+    import random
+
+    rnd = random.Random(9)
+    lake = LakeTable.create(str(tmp_path / "lake"), ["repo", "path"], 1)
+    for w in range(3):
+        rows = [
+            ev(w * 20 + i + 1, "insert", "r", f"w{w}p{i}", "c", "py", _noisy(rnd))
+            for i in range(20)
+        ]
+        lake.apply_window(make_ds(rows), w * 20, w * 20 + 20)
+    before = _state(lake)
+    files = lake.live_files()[0]
+    budget = min(os.path.getsize(f) for f in files) - 1
+    entry = lake.compact(min_files=2, max_input_bytes=budget, vacuum="defer")
+    [info] = entry["parts"].values()
+    assert info["fallback"] is True and len(info["replaces"]) == 2
+    assert len(lake.live_files()[0]) == 2
+    assert _state(lake) == before
+    lake.compact(min_files=2, max_input_bytes=budget, vacuum="defer")
+    assert len(lake.live_files()[0]) == 1
+    assert _state(lake) == before
 
 
 def test_clustered_compaction_prunes_range_scans(ray_session, tmp_path):

@@ -244,7 +244,8 @@ def test_header_probe_decoder(ray_session):
     png = _tiny_png(320, 200, color_type=2)
     gif = b"GIF89a" + struct.pack("<HH", 99, 44) + b"\x00" * 10
     bmp = (
-        b"BM" + b"\x00" * 16
+        b"BM" + b"\x00" * 12
+        + struct.pack("<I", 40)  # DIB header size: BITMAPINFOHEADER
         + struct.pack("<ii", 77, -55)  # negative height = top-down
         + struct.pack("<H", 1)  # biPlanes
         + struct.pack("<H", 32)  # biBitCount at offset 28
@@ -294,6 +295,50 @@ def test_header_probe_decoder(ray_session):
     ).take_all()
     got = {r["media_id"]: (r["width"], r["height"]) for r in out}
     assert got == {1: (320, 200), 2: (99, 44)}
+
+
+def test_header_probe_decoder_header_layouts():
+    """JPEG: the marker walk stops at SOS, so a SOF-shaped byte run in
+    the entropy-coded data after it is never parsed as a frame header.
+    BMP: the DIB header size at offset 14 picks the layout — 12 is the
+    OS/2 BITMAPCOREHEADER (16-bit dims), other sizes below 40 raise."""
+    import struct
+
+    import pytest
+
+    from jitsu_ray.ops.multimodal import HeaderProbeDecoder
+
+    d = HeaderProbeDecoder()
+    sof = (
+        b"\xff\xc0" + struct.pack(">H", 11) + b"\x08"
+        + struct.pack(">HH", 123, 456) + b"\x03" + b"\x00" * 9
+    )
+    sos = b"\xff\xda" + struct.pack(">H", 8) + b"\x01\x01\x00\x00\x3f\x00"
+    # SOS with no SOF before it: the FF C0 run after it is scan data
+    with pytest.raises(ValueError, match="unrecognized"):
+        d.decode_one(b"\xff\xd8" + sos + sof, "image/jpeg")
+    # stuffed FF 00 pairs in the scan must not be walked as segments
+    with pytest.raises(ValueError, match="unrecognized"):
+        d.decode_one(b"\xff\xd8" + sos + b"\xff\x00" * 8 + sof, "image/jpeg")
+    # a SOF before the SOS still decodes
+    m = d.decode_one(b"\xff\xd8" + sof + sos + b"\x00" * 4, "image/jpeg")
+    assert (m["width"], m["height"], m["channels"]) == (456, 123, 3)
+
+    def bmp(dib_size: int, body: bytes) -> bytes:
+        return b"BM" + b"\x00" * 12 + struct.pack("<I", dib_size) + body
+
+    core = bmp(12, struct.pack("<HHHH", 640, 480, 1, 24))
+    m = d.decode_one(core, "image/bmp")
+    assert (m["width"], m["height"], m["channels"]) == (640, 480, 3)
+    info = bmp(40, struct.pack("<iiHH", 64, -32, 1, 8) + b"\x00" * 24)
+    m = d.decode_one(info, "image/bmp")
+    assert (m["width"], m["height"], m["channels"]) == (64, 32, 1)
+    v5 = bmp(124, struct.pack("<iiHH", 5, 6, 1, 32) + b"\x00" * 108)
+    assert d.decode_one(v5, "image/bmp")["channels"] == 4
+    # unknown header sizes below 40, and a truncated core header, raise
+    for bad in (bmp(16, b"\x00" * 32), bmp(0, b"\x00" * 32), core[:24]):
+        with pytest.raises(ValueError, match="unrecognized"):
+            d.decode_one(bad, "image/bmp")
 
 
 def test_pil_decoder_real_path(ray_session):

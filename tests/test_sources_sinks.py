@@ -1864,7 +1864,8 @@ def test_cli_query_list_and_validation():
 def test_cli_maintain_subcommand(tmp_path):
     """`python -m jitsu_ray maintain` runs the full policy pass (split +
     clustered tiered compact + vacuum) against an on-disk lake from a
-    fresh process, proving the operational surface end to end."""
+    fresh process, proving the operational surface end to end, and
+    reports the pass's write cost as ``bytes_written``."""
     import json as _json
     import subprocess
     import sys
@@ -1898,3 +1899,5 @@ ray.shutdown()
     assert r.returncode == 0, r.stderr
     out = _json.loads(r.stdout.strip().splitlines()[-1])
     assert out["splits"] and out["compacted_parts"] >= 1
+    # the pass's write cost: bytes of every file its splits and folds wrote
+    assert out["bytes_written"] > 0
