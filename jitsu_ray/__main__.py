@@ -125,7 +125,9 @@ def main(argv=None):
                     help="auto-compact every N committed windows "
                          "(spool-aware tombstone watermark)")
 
-    c = sub.add_parser("compact", help="fold deltas into base files")
+    c = sub.add_parser(
+        "compact", help="fold deltas into base files and vacuum what they replace"
+    )
     c.add_argument("--lake", required=True)
     c.add_argument("--watermark", type=int, default=0)
 
@@ -240,8 +242,10 @@ def main(argv=None):
         print(json.dumps(m))
     elif args.cmd == "compact":
         lake = LakeTable.open(args.lake)
-        entry = lake.compact(min_files=1, tombstone_watermark=args.watermark)
-        print(json.dumps({"compacted_parts": len(entry.get("parts", {}))}))
+        out = lake.maintain(
+            min_files=1, tombstone_watermark=args.watermark, keep_history=0
+        )
+        print(json.dumps({"compacted_parts": len(out["compact"].get("parts", {}))}))
     elif args.cmd == "maintain":
         lake = LakeTable.open(args.lake)
         out = lake.maintain(

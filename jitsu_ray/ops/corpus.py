@@ -713,17 +713,11 @@ def global_shuffle_positions(
         c = t[id_col].combine_chunks() if isinstance(
             t[id_col], pa.ChunkedArray
         ) else t[id_col]
-        ty = c.type
-        if pa.types.is_integer(ty) or pa.types.is_string(ty) or pa.types.is_large_string(ty):
-            salted = pc.binary_join_element_wise(
-                pc.cast(c, pa.large_string()),
-                pa.scalar(salt, pa.large_string()),
-                pa.scalar("", pa.large_string()),
-            )
-        else:
-            salted = pa.array(
-                [str(v) + salt for v in c.to_pylist()], pa.large_string()
-            )
+        salted = pc.binary_join_element_wise(
+            _id_strings(c),
+            pa.scalar(salt, pa.large_string()),
+            pa.scalar("", pa.large_string()),
+        )
         h2, _ = _md5_lower64_column(salted)
         return pa.table(
             {
@@ -750,23 +744,31 @@ def global_shuffle_positions(
     )
 
 
+def _id_strings(c: pa.Array) -> pa.Array:
+    """Int or string ids as large_string, via one vectorized Arrow cast
+    — identical to DuckDB ``CAST(v AS VARCHAR)`` and Python ``str`` for
+    those types. Other id types (float, timestamp, ...) stringify
+    differently across engines, so they raise TypeError."""
+    import pyarrow.compute as pc
+
+    t = c.type
+    if not (pa.types.is_integer(t) or pa.types.is_string(t) or pa.types.is_large_string(t)):
+        raise TypeError(f"id column must be an integer or string type, got {t}")
+    return pc.cast(c, pa.large_string())
+
+
 def _md5_lower64_column(col) -> tuple:
     """(lower-64-bit md5 of each value's canonical string as uint64,
     null mask). Exactly DuckDB's ``md5_number_lower(CAST(v AS
-    VARCHAR))``: int and string ids stringify via one vectorized Arrow
-    cast (identical to Python ``str`` for those types); anything else
-    falls back to per-row ``str``. Null slots hash as 0 under a True
-    null-mask bit."""
+    VARCHAR))`` for int and string ids (``_id_strings``; other types
+    raise TypeError). Null slots hash as 0 under a True null-mask
+    bit."""
     import numpy as np
     import pyarrow.compute as pc
 
     c = col.combine_chunks() if isinstance(col, pa.ChunkedArray) else col
     null_mask = pc.is_null(c).to_numpy(zero_copy_only=False)
-    t = c.type
-    if pa.types.is_integer(t) or pa.types.is_string(t) or pa.types.is_large_string(t):
-        blobs = pc.cast(pc.cast(c, pa.large_string()), pa.large_binary()).to_pylist()
-    else:
-        blobs = [None if v is None else str(v).encode() for v in c.to_pylist()]
+    blobs = pc.cast(_id_strings(c), pa.large_binary()).to_pylist()
     md5 = hashlib.md5
     from_bytes = int.from_bytes
     return (

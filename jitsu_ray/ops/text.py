@@ -9,13 +9,11 @@ computes every feature from one shared word-extraction, instead of
 chaining three actor pools that each re-serialize the text column. All
 feature definitions are chosen to have exact DuckDB-SQL equivalents
 (md5-based hashes, integer-count ratios) so the driver oracle can check
-them value-for-value. The legacy per-feature classes remain as thin
-wrappers over the same definitions.
+them value-for-value.
 """
 
 from __future__ import annotations
 
-import pandas as pd
 import polars as pl
 import pyarrow as pa
 import pyarrow.compute as pc
@@ -48,9 +46,8 @@ class DocAnalyzer:
     """Fused quality/langid/fingerprint/token-count stage — one polars
     pass per batch; word lists extracted once and shared by every
     feature. Use as `map_batches(DocAnalyzer, batch_format="pyarrow",
-    concurrency=N)`. Pass ``features`` to compute only a subset (the
-    legacy per-feature wrappers do) — unrequested feature groups skip
-    their extraction passes entirely.
+    concurrency=N)`. Pass ``features`` to compute only a subset —
+    unrequested feature groups skip their extraction passes entirely.
 
     Output columns (exact SQL twins in queries.SQL_DOC_QUALITY):
       stopword_ratio   en-stopword hits / max(#[A-Za-z]+ words, 1)
@@ -255,48 +252,6 @@ class TextStats:
         )
         batch = batch.append_column("n_chars2", n_chars)
         return batch.append_column("n_tokens", n_tokens)
-
-
-def _fused_subset(df: pd.DataFrame, cols: list[str]) -> pd.DataFrame:
-    tbl = pa.Table.from_pandas(df[["text"]], preserve_index=False)
-    out = DocAnalyzer(features=tuple(cols))(tbl)
-    for c in cols:
-        df[c] = out[c].to_pandas().values
-    return df
-
-
-class QualityScore:
-    """Heuristic doc-quality features — thin wrapper over the fused
-    DocAnalyzer (kept for API compatibility; prefer DocAnalyzer)."""
-
-    def __call__(self, batch: pd.DataFrame) -> pd.DataFrame:
-        return _fused_subset(
-            batch, ["stopword_ratio", "punct_ratio", "mean_word_len", "quality_ok"]
-        )
-
-
-class LangId:
-    """Stopword-vote language classifier (DocAnalyzer subset)."""
-
-    def __call__(self, batch: pd.DataFrame) -> pd.DataFrame:
-        return _fused_subset(batch, ["lang_pred"])
-
-
-class TokenCount:
-    """BPE-ish token counting: words + punctuation runs, the usual
-    pre-tokenizer regex (DocAnalyzer subset)."""
-
-    def __call__(self, batch: pd.DataFrame) -> pd.DataFrame:
-        return _fused_subset(batch, ["n_bpe_tokens"])
-
-
-class Fingerprint:
-    """Order-sensitive rolling document fingerprint (DocAnalyzer
-    subset): md5-lower64 token hashes folded with a polynomial rolling
-    hash mod 2^61-1 -> int64. Stable across processes."""
-
-    def __call__(self, batch: pd.DataFrame) -> pd.DataFrame:
-        return _fused_subset(batch, ["fingerprint"])
 
 
 # text-level PII patterns, applied IN ORDER (each later pattern sees the

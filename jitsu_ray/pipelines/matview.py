@@ -23,7 +23,7 @@ Scale shape:
 - Refresh is idempotent and crash-safe: a refresh at an unchanged seq
   is a no-op; concurrent refreshes are serialized by a self-healing
   pid lock (two ``view-refresh`` CLI invocations cannot double-apply).
-- If a lake ``compact()`` has vacuumed the history behind the view's
+- If a lake ``vacuum()`` has removed the history behind the view's
   watermark, refresh falls back to a FULL REBUILD from the current
   resolved state (one read, no diff) instead of wedging forever.
 
@@ -157,7 +157,7 @@ class IncrementalAggView:
                 include_old=True,
             )
         except FileNotFoundError:
-            # a later compact() vacuumed the files behind `frm`: the
+            # a later vacuum() removed the files behind `frm`: the
             # incremental path is gone, rebuild from the current state
             return self._full_rebuild(frm, to)
         gcols, vcols, sums = self.group_cols, self.value_cols, self.sums

@@ -16,6 +16,13 @@ re-running a committed window is a no-op (apply_window skips), and a
 window that crashed mid-apply is invisible and simply re-runs —
 replay from any checkpoint reproduces identical table state because the
 merge is idempotent and order-independent.
+
+There is ONE replay loop, ``Replayer.run_streaming``: small windows are
+read directly in the driver and the next one is prefetched on a
+background thread, large ones go through Ray Data; transient apply
+failures are retried, and periodic ``lake.maintain`` passes compact and
+vacuum. ``Replayer.run`` (batch replay) is that loop with large windows
+plus one final maintenance pass.
 """
 
 from __future__ import annotations
@@ -108,18 +115,14 @@ class Replayer:
         total = sum(md.row_group(i).total_byte_size for i in range(md.num_row_groups))
         return max(64, total // max(1, md.num_rows))
 
-    def _window_num_blocks(self, n_rows: int, streaming: bool = False) -> int:
+    def _window_num_blocks(self, n_rows: int) -> int:
         import ray
 
         cpus = int(ray.cluster_resources().get("CPU", 8))
         by_bytes = n_rows * self._row_bytes // (64 * 1024 * 1024) + 1
-        if streaming:
-            # latency mode: a ~1k-event window split into `cpus` blocks is
-            # pure per-block overhead; size by bytes alone
-            return int(min(by_bytes, 8 * cpus))
         return int(min(max(by_bytes, cpus), 8 * cpus))
 
-    def window_dataset(self, lo: int, hi: int, streaming: bool = False) -> "ray.data.Dataset":
+    def window_dataset(self, lo: int, hi: int) -> "ray.data.Dataset":
         paths = [f for f, mn, mx in self._file_stats if mx > lo and mn <= hi]
         if not paths:
             paths = [f for f, _, _ in self._file_stats] or self.changelog_path
@@ -131,7 +134,7 @@ class Replayer:
         ds = ray.data.read_parquet(
             paths,
             filter=(pc.field(SEQ_COL) > lo) & (pc.field(SEQ_COL) <= hi),
-            override_num_blocks=self._window_num_blocks(hi - lo, streaming),
+            override_num_blocks=self._window_num_blocks(hi - lo),
         )
         for fn in self.enrichers:
             ds = ds.map_batches(fn, batch_format="pyarrow")
@@ -143,34 +146,30 @@ class Replayer:
         compact_every: int = 8,
         compact_at_end: bool = True,
     ) -> dict:
-        """Replay all uncommitted windows; returns run metrics."""
-        if max_seq is None:
-            max_seq = changelog_max_seq(self.changelog_path)
-        start_hi = self.lake.last_committed_hi()
-        lo = start_hi
+        """Batch replay: every uncommitted window, through the same loop
+        as :meth:`run_streaming` (windows above
+        ``STREAM_DIRECT_READ_BYTES`` read through Ray Data, transient
+        apply failures retried with backoff, a window that exhausts its
+        retries raises). Every ``compact_every`` windows a maintenance
+        pass folds partitions holding >= 4 files and vacuums what it
+        replaced; ``compact_at_end`` runs one more pass over partitions
+        holding >= 2 files. Seq-range windows mean nothing below the
+        committed watermark can arrive later, so both passes drop
+        tombstones up to it. Returns the :meth:`run_streaming` metrics,
+        with the final pass counted in the wall time."""
         t0 = time.perf_counter()
-        n_windows = 0
-        while lo < max_seq:
-            hi = min(lo + self.window_size, max_seq)
-            ds = self.window_dataset(lo, hi)
-            self.lake.apply_window(ds, lo, hi)
-            n_windows += 1
-            # seq-range windows: nothing below `hi` can arrive later, so
-            # compaction may drop tombstones up to the committed watermark
-            if compact_every and n_windows % compact_every == 0:
-                self.lake.compact(min_files=4, tombstone_watermark=hi)
-            lo = hi
+        out = self.run_streaming(
+            max_seq=max_seq, compact_every=compact_every, compact_min_files=4
+        )
         if compact_at_end:
-            self.lake.compact(min_files=2, tombstone_watermark=self.lake.last_committed_hi())
-        wall = time.perf_counter() - t0
-        events = max_seq - start_hi
-        return {
-            "windows": n_windows,
-            "events": events,
-            "wall_sec": wall,
-            "events_per_sec": events / wall if wall > 0 else float("inf"),
-        }
-
+            self.lake.maintain(
+                min_files=2,
+                tombstone_watermark=self.lake.last_committed_hi(),
+                keep_history=0,
+            )
+        out["wall_sec"] = wall = time.perf_counter() - t0
+        out["events_per_sec"] = out["events"] / wall if wall > 0 else float("inf")
+        return out
 
     # direct read once a window's estimated bytes fit comfortably in the
     # driver: Ray Data's read planning alone costs ~0.2-0.3s per window
@@ -185,7 +184,7 @@ class Replayer:
         batch replay's state."""
         paths = [f for f, mn, mx in self._file_stats if mx > lo and mn <= hi]
         if not paths:
-            return self.window_dataset(lo, hi, streaming=True)
+            return self.window_dataset(lo, hi)
         tables = [
             pq.read_table(f, filters=[(SEQ_COL, ">", lo), (SEQ_COL, "<=", hi)])
             for f in paths
@@ -195,10 +194,13 @@ class Replayer:
             tbl = fn(tbl)
         return ray.data.from_arrow(tbl)
 
+    def _direct_read(self, lo: int, hi: int) -> bool:
+        return (hi - lo) * self._row_bytes <= self.STREAM_DIRECT_READ_BYTES
+
     def _stream_window(self, lo: int, hi: int) -> "ray.data.Dataset":
-        if (hi - lo) * self._row_bytes <= self.STREAM_DIRECT_READ_BYTES:
+        if self._direct_read(lo, hi):
             return self._window_dataset_fast(lo, hi)
-        return self.window_dataset(lo, hi, streaming=True)
+        return self.window_dataset(lo, hi)
 
     @staticmethod
     def _sweep_dead_spool_tmp(spool_dir: str) -> None:
@@ -231,86 +233,153 @@ class Replayer:
         compact_min_files: int = 8,
         split_over_bytes: int | None = None,
     ) -> dict:
-        """Low-latency streaming mode (§3.2): small windows (construct the
-        Replayer with ``window_size~1000``), per-window commit latency
-        tracked, and the stream-worker failure semantics of
-        server/storages/streaming.go:108-122 — a window whose apply
-        fails TRANSIENTLY is retried in place with bounded exponential
-        backoff (the re-enqueue-with-deadline analog; windows must
-        commit in seq order because the ledger checkpoint is a single
-        watermark, so the retry blocks rather than reorders); a window
-        that exhausts retries or fails permanently is SPOOLED to
-        ``spool_dir`` as parquet and the stream advances. Spooled events
+        """The replay loop (§3.2); :meth:`run` is this loop with large
+        windows. Per-window commit latency is tracked, and a window gets
+        the stream-worker failure semantics of
+        server/storages/streaming.go:108-122: one whose apply fails
+        TRANSIENTLY is retried in place with bounded exponential backoff
+        (windows must commit in seq order because the ledger checkpoint
+        is a single watermark, so the retry blocks rather than
+        reorders); one that exhausts retries or fails permanently is
+        SPOOLED to ``spool_dir`` as parquet and the stream advances
+        (without a ``spool_dir`` the error is raised). Spooled events
         are re-applied later by ``replay_spooled`` — correct because LWW
         merge is order-independent and tombstones are kept.
 
-        ``split_over_bytes``: auto partition SPLITTING — at each
-        auto-compaction trigger, run ``lake.maintain`` instead of a bare
-        compact: any active partition whose live bytes exceed the budget
-        is split into hash-refinement children — each child written
-        once, already LWW-resolved under the same budget and the
-        spool-aware tombstone watermark, so it needs no follow-up fold
-        — then byte-bounded tiered compaction folds the remaining
-        partitions and a keep_history=0 vacuum GCs replaced files
-        (matching the immediate-GC disk bound of the plain path). The
-        streaming loop is the lake's ONLY
-        applier, so the split's no-concurrent-writer contract holds by
-        construction — this is where a lake created at N partitions
-        grows its topology while the stream keeps running.
+        ``compact_every``: every N committed windows, one
+        ``lake.maintain`` pass compacts partitions holding >=
+        ``compact_min_files`` files and vacuums (keep_history=0) what it
+        replaced, so file count, read cost and disk stay bounded. Its
+        tombstone watermark is SPOOL-AWARE: pending spooled windows will
+        later force-apply events at their original low seqs, so
+        tombstones are only dropped up to min(pending spool lo) —
+        otherwise the recovery replay could resurrect a compacted-away
+        delete. The pass runs OUTSIDE the sink-retry loop and is
+        best-effort: a failure is counted in ``compact_errors`` and the
+        next trigger retries it. ``split_over_bytes`` makes the pass
+        also SPLIT any active partition whose live bytes exceed the
+        budget; this loop is the lake's ONLY applier, so the split's
+        no-concurrent-writer contract holds by construction.
 
-        ``compact_every``: auto-compaction — every N committed windows,
-        fold partitions holding >= ``compact_min_files`` files into one
-        base (lake.compact), so a long-running 1k-event stream's file
-        count (and read/probe cost) stays bounded instead of growing one
-        delta per partition per window. The tombstone watermark passed
-        to compact is SPOOL-AWARE: pending spooled windows will later
-        force-apply events at their original low seqs, so tombstones are
-        only dropped up to min(pending spool lo) — otherwise a compacted
-        -away delete could be resurrected by the recovery replay. The
-        compaction is its own atomic ledger row; as-of reads older than
-        it raise FileNotFoundError once replaced files are unlinked (the
-        documented time-travel-until-vacuum contract).
-
-        WINDOW PIPELINING: window N+1's read+prep (the driver-side
-        footer-pruned parquet read + enricher chain of
-        ``_window_dataset_fast`` — the dominant non-merge cost at 1k
-        events) runs on ONE background thread while window N's exchange
-        and ledger commit proceed — the reads touch only immutable
-        changelog files, and the APPLY stays in the main loop, so the
-        watermark still commits strictly in seq order. A failed
-        prefetch just falls back to the synchronous read (and retries
-        re-derive the window fresh — a partially-consumed Dataset must
-        never be re-applied).
+        READS AND PIPELINING: a window whose estimated bytes fit
+        ``STREAM_DIRECT_READ_BYTES`` is read in the driver
+        (``_window_dataset_fast``), and such a window N+1 is prefetched
+        on ONE background thread while window N applies; the apply
+        stays in this loop, so the watermark commits strictly in seq
+        order. A larger window goes through Ray Data (``window_dataset``)
+        and is not prefetched: holding a second large window raises
+        peak memory. A failed prefetch falls back to the synchronous
+        read, and retries re-derive the window fresh — a
+        partially-consumed Dataset must never be re-applied.
 
         ENRICHERS therefore run on the prefetch thread, CONCURRENTLY
-        with the apply of the previous window (and a retry re-derives
-        window N on the main thread while window N+1's enrichers may be
-        running on the prefetch thread): they must be pure and
-        thread-safe — no shared mutable state, no reliance on running
-        serially or in window order.
+        with the apply of the previous window (and with a retry's
+        re-read on the main thread) — in batch replay too, whenever its
+        windows are direct reads: they must be pure and thread-safe, with
+        no shared mutable state and no reliance on running serially or
+        in window order.
 
         Returns run metrics incl. per-window commit latency p50/p95/max
-        (seconds) and retried/spooled counts."""
+        (seconds) and retried/spooled/compaction/split counts."""
         import shutil
         from concurrent.futures import ThreadPoolExecutor
 
         from ..sinks.retry import default_classify
+        from ..util import _lock_token
 
         classify = classify or default_classify
         if max_seq is None:
             max_seq = changelog_max_seq(self.changelog_path)
-        start_hi = self.lake.last_committed_hi()
+        start_hi = lo = self.lake.last_committed_hi()
         lat: list[float] = []
         spooled: list[dict] = []
-        counts = {"retried": 0, "compactions": 0, "compact_errors": 0}
+        counts = {"retried": 0, "compactions": 0, "compact_errors": 0, "splits": 0}
         t0 = time.perf_counter()
         prefetcher = ThreadPoolExecutor(max_workers=1)
+        nxt = None  # future of this window's prefetched read
         try:
-            self._run_streaming_loop(
-                start_hi, max_seq, max_attempts, backoff_sec, classify,
-                spool_dir, compact_every, compact_min_files, lat, spooled,
-                prefetcher, shutil, counts, split_over_bytes,
-            )
+            while lo < max_seq:
+                hi = min(lo + self.window_size, max_seq)
+                t_w = time.perf_counter()
+                ds_window = None
+                if nxt is not None:
+                    try:
+                        ds_window = nxt.result()
+                    except Exception:  # noqa: BLE001 — prefetch is advisory;
+                        pass  # the sync read below sees any real error
+                if ds_window is None:
+                    ds_window = self._stream_window(lo, hi)
+                nhi = min(hi + self.window_size, max_seq)
+                nxt = (
+                    prefetcher.submit(self._window_dataset_fast, hi, nhi)
+                    if hi < max_seq and self._direct_read(hi, nhi)
+                    else None
+                )
+                attempts = 0
+                committed = False
+                while True:
+                    try:
+                        self.lake.apply_window(ds_window, lo, hi)
+                        lat.append(time.perf_counter() - t_w)
+                        committed = True
+                        break
+                    except Exception as e:  # noqa: BLE001 — sink boundary
+                        attempts += 1
+                        if classify(e) and attempts < max_attempts:
+                            counts["retried"] += 1
+                            time.sleep(backoff_sec * (2 ** (attempts - 1)))
+                            # re-derive: a partially-consumed Dataset (the
+                            # failed apply may have drained some blocks)
+                            # must never be re-applied
+                            ds_window = self._stream_window(lo, hi)
+                            continue
+                        if spool_dir is None:
+                            raise
+                        sub = os.path.join(spool_dir, f"window-{lo:012d}-{hi:012d}")
+                        # idempotent AND crash-safe re-spool: write the
+                        # fresh copy to a pid-suffixed tmp dir first, swap
+                        # only once it is complete. Deleting the prior copy
+                        # before (or while) writing the new one would
+                        # destroy the only recovery data for this window if
+                        # the write failed — and a restarted stream must
+                        # not APPEND a second copy into the deterministic
+                        # dir (Ray's write_parquet uuid-names files into an
+                        # existing dir). Crashed attempts' tmp dirs
+                        # (dead-pid suffix) are swept here so they can't
+                        # accumulate a window of parquet each.
+                        self._sweep_dead_spool_tmp(spool_dir)
+                        sub_tmp = f"{sub}.tmp.{_lock_token()}"
+                        shutil.rmtree(sub_tmp, ignore_errors=True)
+                        self._stream_window(lo, hi).write_parquet(sub_tmp)
+                        shutil.rmtree(sub, ignore_errors=True)
+                        os.rename(sub_tmp, sub)
+                        spooled.append(
+                            {"lo": lo, "hi": hi, "dir": sub,
+                             "error": f"{type(e).__name__}: {e}"}
+                        )
+                        break
+                # maintenance runs OUTSIDE the sink-retry loop: the window
+                # is already committed, so a maintenance failure must not
+                # be retried as a window apply (that would double-count
+                # latency samples / metrics and, with a spool_dir, could
+                # spool an already-committed window). On failure the same
+                # partitions still exceed min_files, so the next trigger
+                # simply retries the fold.
+                if committed and compact_every and len(lat) % compact_every == 0:
+                    try:
+                        out = self.lake.maintain(
+                            max_partition_bytes=split_over_bytes,
+                            min_files=compact_min_files,
+                            tombstone_watermark=self._safe_tombstone_watermark(
+                                hi, spooled, spool_dir
+                            ),
+                            keep_history=0,
+                        )
+                        counts["compactions"] += bool(out["compact"].get("parts"))
+                        counts["splits"] += len(out["splits"])
+                    except Exception:  # noqa: BLE001 — maintenance boundary
+                        counts["compact_errors"] += 1
+                lo = hi
         finally:
             prefetcher.shutdown(wait=False, cancel_futures=True)
         wall = time.perf_counter() - t0
@@ -328,107 +397,9 @@ class Replayer:
             "latency_p50_sec": round(pct(0.50), 4),
             "latency_p95_sec": round(pct(0.95), 4),
             "latency_max_sec": round(max(srt), 4) if srt else 0.0,
-            "retried": counts["retried"],
             "spooled": spooled,
-            "compactions": counts["compactions"],
-            "compact_errors": counts["compact_errors"],
-            "splits": counts.get("splits", 0),
+            **counts,
         }
-
-    def _run_streaming_loop(
-        self, lo, max_seq, max_attempts, backoff_sec, classify, spool_dir,
-        compact_every, compact_min_files, lat, spooled, prefetcher, shutil,
-        counts, split_over_bytes=None,
-    ) -> None:
-        nxt = None  # (lo, hi, future) of the prefetched next window
-        while lo < max_seq:
-            hi = min(lo + self.window_size, max_seq)
-            t_w = time.perf_counter()
-            ds_window = None
-            if nxt is not None and nxt[0] == lo and nxt[1] == hi:
-                try:
-                    ds_window = nxt[2].result()
-                except Exception:  # noqa: BLE001 — prefetch is advisory;
-                    ds_window = None  # the sync read below sees any real error
-            if ds_window is None:
-                ds_window = self._stream_window(lo, hi)
-            if hi < max_seq:
-                nlo, nhi = hi, min(hi + self.window_size, max_seq)
-                nxt = (nlo, nhi, prefetcher.submit(self._stream_window, nlo, nhi))
-            else:
-                nxt = None
-            attempts = 0
-            committed = False
-            while True:
-                try:
-                    self.lake.apply_window(ds_window, lo, hi)
-                    lat.append(time.perf_counter() - t_w)
-                    committed = True
-                    break
-                except Exception as e:  # noqa: BLE001 — sink boundary
-                    attempts += 1
-                    if classify(e) and attempts < max_attempts:
-                        counts["retried"] += 1
-                        time.sleep(backoff_sec * (2 ** (attempts - 1)))
-                        # re-derive: a partially-consumed Dataset (the
-                        # failed apply may have drained some blocks)
-                        # must never be re-applied
-                        ds_window = self._stream_window(lo, hi)
-                        continue
-                    if spool_dir is None:
-                        raise
-                    sub = os.path.join(spool_dir, f"window-{lo:012d}-{hi:012d}")
-                    # idempotent AND crash-safe re-spool: write the fresh
-                    # copy to a pid-suffixed tmp dir first, swap only once
-                    # it is complete. Deleting the prior copy before (or
-                    # while) writing the new one would destroy the only
-                    # recovery data for this window if the write failed —
-                    # and a restarted stream must not APPEND a second copy
-                    # into the deterministic dir (Ray's write_parquet
-                    # uuid-names files into an existing dir). Crashed
-                    # attempts' tmp dirs (dead-pid suffix) are swept here
-                    # so they can't accumulate a window of parquet each.
-                    self._sweep_dead_spool_tmp(spool_dir)
-                    from ..util import _lock_token
-
-                    sub_tmp = f"{sub}.tmp.{_lock_token()}"
-                    shutil.rmtree(sub_tmp, ignore_errors=True)
-                    self._stream_window(lo, hi).write_parquet(sub_tmp)
-                    shutil.rmtree(sub, ignore_errors=True)
-                    os.rename(sub_tmp, sub)
-                    spooled.append(
-                        {"lo": lo, "hi": hi, "dir": sub, "error": f"{type(e).__name__}: {e}"}
-                    )
-                    break
-            # compaction runs OUTSIDE the sink-retry loop: the window is
-            # already committed, so a compaction failure must not be
-            # retried as a window apply (that would double-count latency
-            # samples / metrics and, with a spool_dir, could spool an
-            # already-committed window). Compaction is best-effort lake
-            # maintenance — on failure the same partitions still exceed
-            # min_files, so the next trigger simply retries the fold.
-            if committed and compact_every and len(lat) % compact_every == 0:
-                try:
-                    wm = self._safe_tombstone_watermark(hi, spooled, spool_dir)
-                    if split_over_bytes:
-                        out = self.lake.maintain(
-                            max_partition_bytes=split_over_bytes,
-                            min_files=compact_min_files,
-                            tombstone_watermark=wm,
-                            keep_history=0,
-                        )
-                        entry = out["compact"]
-                        counts["splits"] = counts.get("splits", 0) + len(
-                            out["splits"]
-                        )
-                    else:
-                        entry = self.lake.compact(
-                            min_files=compact_min_files, tombstone_watermark=wm
-                        )
-                    counts["compactions"] += bool(entry.get("parts"))
-                except Exception:  # noqa: BLE001 — maintenance boundary
-                    counts["compact_errors"] += 1
-            lo = hi
 
     @staticmethod
     def _safe_tombstone_watermark(committed_hi: int, spooled: list[dict],

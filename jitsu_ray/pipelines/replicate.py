@@ -65,7 +65,7 @@ Design:
   at the same ``to`` (``resolve_keep_tombstones`` last-arrival tie
   rule), so the repair is authoritative even when ``frm == to``.
 - **A vacuum RACING the apply** (``diff_as_of`` passes its eager
-  existence check, then a source ``compact()`` deletes the files while
+  existence check, then a source ``vacuum()`` deletes the files while
   the lazy window streams) degrades to the same re-sync instead of
   crashing: ``apply_window`` commits no ledger row on failure and
   discards its merger pool, so the retry is clean.
@@ -611,7 +611,7 @@ def _execute_target(src, plan: dict, diff=None) -> dict:
             entry = dst.apply_window(delta, frm, to, extra_metrics=tag)
         except Exception as e:
             # vacuumed diff history — eagerly (diff_as_of's existence
-            # check) or lazily (a compact racing the streamed apply):
+            # check) or lazily (a vacuum racing the streamed apply):
             # either way no ledger row landed, fall back to re-sync
             if not _is_file_not_found(e):
                 raise

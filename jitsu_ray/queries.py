@@ -2499,9 +2499,9 @@ FROM events
 
 def q_lake_maintenance(sf_dir: str):
     """Round-5 lake maintenance surface as one pipeline
-    (sinks/lake.split_partition / compact(max_input_bytes, vacuum=
-    'defer') / vacuum): the per-user LWW lake built in FOUR windows with
-    a size-tiered deferred-GC compaction and a 2-way partition split
+    (sinks/lake.split_partition / compact(max_input_bytes) / vacuum):
+    the per-user LWW lake built in FOUR windows with a size-tiered
+    compaction (which deletes nothing) and a 2-way partition split
     (plus a nested child split) interleaved between them — so both
     pre- and post-split windows route through the refined topology —
     then a keep_history=0 vacuum GCs the replaced files. Every
@@ -2531,8 +2531,8 @@ def q_lake_maintenance(sf_dir: str):
 
     lake.apply_window(ds.map_batches(upto(-1, c1), batch_format="pyarrow"), -1, c1)
     lake.apply_window(ds.map_batches(upto(c1, c2), batch_format="pyarrow"), c1, c2)
-    # byte-bounded tiered fold of the two windows, GC deferred
-    lake.compact(max_input_bytes=256 * 1024, vacuum="defer")
+    # byte-bounded tiered fold of the two windows; GC waits for vacuum
+    lake.compact(max_input_bytes=256 * 1024)
     lake.split_partition(0, factor=2)
     lake.apply_window(ds.map_batches(upto(c2, c3), batch_format="pyarrow"), c2, c3)
     lake.split_partition(8, factor=2)  # child 0+8 of the first split

@@ -292,6 +292,95 @@ def _write_lake_files(
     return infos
 
 
+# Ray tasks and map functions live at module level and take everything
+# they need as arguments: a remote function defined per call registers a
+# new task type each time, and a long-lived session accumulates them.
+
+
+def _prep_window_batch(
+    batch: pa.Table, target: pa.Schema, key_cols: list[str], num_parts: int,
+    splits: list,
+) -> pa.Table:
+    """apply_window's combiner: pad/cast to the lake schema, tag each
+    row's partition, and pre-reduce per key within the batch, so the
+    exchange moves at most one row per (key, batch)."""
+    batch = pad_and_cast(batch, target)
+    part = hash_route_column(batch, key_cols, num_parts, splits)
+    batch = batch.set_column(0, PART_COL, part)
+    return resolve_keep_tombstones(batch, key_cols)
+
+
+def _fold_and_write(
+    tbl: pa.Table, part: int, stem: str, watermark: int, layout: dict
+) -> list[dict]:
+    """LWW-resolve ``tbl`` (tombstones kept, then those at or below
+    ``watermark`` dropped — pass 0 unless the fold covers the whole
+    partition) and write it through ``_write_lake_files``, whose other
+    arguments ``layout`` holds (``LakeTable._layout``)."""
+    merged = resolve_keep_tombstones(tbl, layout["key_cols"])
+    return _write_lake_files(
+        _drop_old_tombstones(merged, watermark), part=part, stem=stem, **layout
+    )
+
+
+@ray.remote
+def _compact_fold(
+    files: list[str], target: pa.Schema, part: int, stem: str, watermark: int,
+    fallback: bool, layout: dict,
+) -> list[dict]:
+    """One compaction fold of ``files`` (ledger order) into ``part``."""
+    tbl = pq.ParquetDataset(files, schema=target).read()
+    infos = _fold_and_write(tbl, part, stem, watermark, layout)
+    # only the first chunk replaces the inputs; later chunks anchor to
+    # their predecessor (insert_after) so the chunk run sits at the
+    # fold's replay position
+    infos[0]["replaces"] = [os.path.relpath(f, layout["lake_dir"]) for f in files]
+    for info in infos[1:]:
+        info["replaces"] = []
+    if fallback:
+        infos[0]["fallback"] = True
+    return infos
+
+
+@ray.remote
+def _route_group(
+    files: list[str], target: pa.Schema, key_cols: list[str], part: int,
+    modulus: int, factor: int,
+) -> tuple[pa.Table, ...]:
+    """Split routing: read a group of the parent's files and return one
+    slice per child (run with ``num_returns=factor``). Child j owns the
+    keys with ``hash % (modulus * factor) == part + j * modulus``; the
+    stable argsort keeps each slice in input row order."""
+    import numpy as np
+
+    from ..util import group_take_indices
+
+    tbl = pq.ParquetDataset(files, schema=target).read()
+    ids = (
+        hash_mod_column(tbl, key_cols, modulus * factor)
+        .to_numpy(zero_copy_only=False)
+        .astype(np.int64)
+    )
+    return tuple(
+        tbl.take(idx).set_column(
+            0, PART_COL, pa.array(np.full(idx.size, part + j * modulus, np.int32))
+        )
+        for j, idx in enumerate(group_take_indices((ids - part) // modulus, factor))
+    )
+
+
+@ray.remote
+def _fold_child(
+    child: int, stem: str, watermark: int, layout: dict, *slices: pa.Table
+) -> list[dict]:
+    """Split fold: concatenate one child's slices in parent file order
+    and write the child once, resolved."""
+    tbl = pa.concat_tables(slices)
+    if tbl.num_rows == 0:
+        return []
+    return _fold_and_write(tbl, child, stem, watermark, layout)
+
+
 @ray.remote(num_cpus=0)
 def _lookup_partition(
     files: list[str],
@@ -736,7 +825,7 @@ class LakeTable:
             # interleaving property test). Forced windows therefore get
             # an ALWAYS-UNIQUE tag: ledger position + random suffix.
             # Uniqueness (rather than a probe-until-free loop) also
-            # rules out (a) resurrecting a compaction-VACUUMED plain
+            # rules out (a) resurrecting a VACUUMED plain
             # tag whose file is gone from disk but whose ledger row
             # still names the path under older time-travel views, and
             # (b) two CONCURRENT forced appliers racing one existence
@@ -754,17 +843,14 @@ class LakeTable:
                 f"{window_tag}-f{self.ledger.max_seq()}-{_uuid.uuid4().hex[:8]}"
             )
 
-        def prep(batch: pa.Table) -> pa.Table:
-            # combiner: partition id + within-batch per-key pre-reduce, so
-            # the exchange moves at most one row per (key, batch)
-            batch = pad_and_cast(batch, target)
-            part = hash_route_column(batch, key_cols, num_parts, splits)
-            batch = batch.set_column(0, PART_COL, part)
-            return resolve_keep_tombstones(batch, key_cols)
-
         handles = self._merger_pool(sorted(active_moduli(num_parts, splits)))
         pool = len(handles)
-        prepped = ds.map_batches(prep, batch_format="pyarrow")
+        prepped = ds.map_batches(
+            _prep_window_batch,
+            batch_format="pyarrow",
+            fn_kwargs={"target": target, "key_cols": key_cols,
+                       "num_parts": num_parts, "splits": splits},
+        )
 
         # Explicit hash exchange (module docstring): stream prepped
         # blocks out of the Dataset as they materialize. On one node the
@@ -1060,8 +1146,9 @@ class LakeTable:
 
     def _missing_files_error(self, tag: str, missing: list[str]) -> FileNotFoundError:
         """Build the precise time-travel error: name the ledger VACUUM
-        row (if any) that removed the needed files, else attribute the
-        loss to an immediate-mode compaction (pre-retention behavior)."""
+        row (if any) that removed the needed files. Without one, the
+        files were deleted by older code (whose compaction unlinked what
+        it replaced) or outside any vacuum."""
         rels = {os.path.relpath(f, self.dir) for f in missing}
         culprit = None
         for e in self.ledger.iter_entries_desc():
@@ -1076,8 +1163,9 @@ class LakeTable:
                 f"missing: {sorted(rels)[:3]}"
             )
         return FileNotFoundError(
-            f"{tag} history was vacuumed by a later compaction "
-            f"(immediate GC mode); missing: {sorted(rels)[:3]}"
+            f"{tag} history is missing files that no vacuum ledger row "
+            "removed (deleted by an older compaction that unlinked "
+            f"replaced files, or outside vacuum); missing: {sorted(rels)[:3]}"
         )
 
     def lookup(
@@ -1438,15 +1526,25 @@ class LakeTable:
                 f"{self.stats_cols} (declare stats_cols at create)"
             )
 
+    def _layout(self, cluster_by: list[str] | None, chunk_bytes: int | None) -> dict:
+        """The ``_write_lake_files`` arguments a maintenance fold passes."""
+        return {"lake_dir": self.dir, "key_cols": self.key_cols,
+                "zone_cols": self.key_cols + self.stats_cols,
+                "cluster_by": cluster_by, "chunk_bytes": chunk_bytes}
+
     def compact(
         self,
         min_files: int = 2,
         tombstone_watermark: int = 0,
         max_input_bytes: int | None = None,
-        vacuum: str = "immediate",
         cluster_by: list[str] | None = None,
     ) -> dict:
         """Fold each partition's base+deltas into fewer base files.
+
+        Compaction only COMMITS: the replaced files stay on disk, so
+        ``as_of`` reads older than this compaction keep working until
+        :meth:`vacuum` (the one delete path) removes them — the
+        Delta Lake OPTIMIZE/VACUUM split. :meth:`maintain` runs both.
 
         ``tombstone_watermark``: tombstone winners with commit_seq <= the
         watermark are physically dropped. Only pass a nonzero watermark
@@ -1476,12 +1574,6 @@ class LakeTable:
         carry a LOWER seq (forced recovery windows), and dropping a
         tombstone from a prefix fold could let such a row resurrect.
 
-        ``vacuum``: "immediate" (default) unlinks replaced files right
-        after the commit — time-travel history before this compaction
-        is gone (the pre-round-5 behavior). "defer" leaves them on disk
-        for :meth:`vacuum` to GC later under its grace window, keeping
-        older ``as_of`` reads valid until an explicit retention pass.
-
         ``cluster_by``: CLUSTERED rewrite (the lakehouse OPTIMIZE/
         Z-ORDER idea, lexicographic): each fold's output is sorted by
         these columns and cut into range-disjoint chunk files (sized by
@@ -1500,42 +1592,14 @@ class LakeTable:
         folds atomically; a crash mid-compaction leaves only orphaned
         tmp files.
         """
-        if vacuum not in ("immediate", "defer"):
-            raise ValueError(f"vacuum must be 'immediate' or 'defer', got {vacuum!r}")
         self._check_cluster_by(cluster_by)
         target = self.full_arrow_schema()
-        key_cols = self.key_cols
-        zone_cols = self.key_cols + self.stats_cols
-        lake_dir = self.dir
+        layout = self._layout(cluster_by, max_input_bytes)
         gen = self.ledger.next_seq()
-
-        @ray.remote
-        def compact_fold(
-            part: int, files: list[str], tier: int, tag: str, drop_tombs: bool,
-            fallback: bool,
-        ) -> tuple[int, int, list[dict]]:
-            tbl = pq.ParquetDataset(files, schema=target).read()
-            merged = resolve_keep_tombstones(tbl, key_cols)
-            if drop_tombs:
-                merged = _drop_old_tombstones(merged, tombstone_watermark)
-            infos = _write_lake_files(
-                merged, lake_dir, part, f"base-{tag}", key_cols, zone_cols,
-                cluster_by, max_input_bytes,
-            )
-            # only the first chunk replaces the inputs; later chunks
-            # anchor to their predecessor (insert_after) so the chunk
-            # run sits at the fold's replay position
-            infos[0]["replaces"] = [os.path.relpath(f, lake_dir) for f in files]
-            for info in infos[1:]:
-                info["replaces"] = []
-            if fallback:
-                infos[0]["fallback"] = True
-            return part, tier, infos
-
         todo = {p: fs for p, fs in self.live_files().items() if len(fs) >= min_files}
         if not todo:
             return {"kind": "compact", "parts": {}}
-        tasks = []
+        parts, tasks = [], []
         for p, fs in sorted(todo.items()):
             groups = (
                 [fs]
@@ -1562,30 +1626,25 @@ class LakeTable:
                 i = min(range(len(fs) - 1), key=lambda k: sizes[k] + sizes[k + 1])
                 folds = [(i, fs[i : i + 2], len(fs) == 2)]
             for t, grp, full in folds:
-                tag = f"{gen:08d}" if full_fold else f"{gen:08d}-{t:03d}"
-                tasks.append(compact_fold.remote(p, grp, t, tag, full, fallback))
+                parts.append(p)
+                tasks.append(_compact_fold.remote(
+                    grp, target, p,
+                    f"base-{gen:08d}" if full_fold else f"base-{gen:08d}-{t:03d}",
+                    tombstone_watermark if full else 0, fallback, layout,
+                ))
         if not tasks:
             return {"kind": "compact", "parts": {}}
-        results = ray.get(tasks)
-        by_part: dict[int, list[tuple[int, list[dict]]]] = {}
-        for p, t, infos in results:
-            by_part.setdefault(p, []).append((t, infos))
-        parts_entry: dict[str, object] = {}
-        for p, folds in sorted(by_part.items()):
-            flat = [info for _, infos in sorted(folds) for info in infos]
-            # single-fold partitions keep the legacy single-dict shape
-            parts_entry[str(p)] = flat[0] if len(flat) == 1 else flat
-        entry = {"kind": "compact", "parts": parts_entry}
+        # tasks run in (partition, tier) order, so each partition's
+        # infos concatenate in replay order
+        by_part: dict[int, list[dict]] = {}
+        for p, infos in zip(parts, ray.get(tasks)):
+            by_part.setdefault(p, []).extend(infos)
+        # single-fold partitions keep the legacy single-dict shape
+        entry = {
+            "kind": "compact",
+            "parts": {str(p): fl[0] if len(fl) == 1 else fl for p, fl in by_part.items()},
+        }
         self.ledger.append(entry)
-        if vacuum == "immediate":
-            for _, _, infos in results:  # best-effort; ledger already excludes
-                for info in infos:
-                    for f in info["replaces"]:
-                        for path in (f, f + ".bloom.npz"):
-                            try:
-                                os.unlink(os.path.join(self.dir, path))
-                            except OSError:
-                                pass
         # fold the ledger so the next apply/read replays O(rows since
         # here), not O(all windows) — long-running streaming lakes
         # otherwise reopen thousands of window JSONs per window
@@ -1655,13 +1714,10 @@ class LakeTable:
                 f"(active: {sorted(act)[:8]}{'...' if len(act) > 8 else ''})"
             )
         modulus = act[part]
-        new_mod = modulus * factor
         children = [part + j * modulus for j in range(factor)]
         live = self.live_files().get(part, [])
         target = self.full_arrow_schema()
-        key_cols = self.key_cols
-        zone_cols = self.key_cols + self.stats_cols
-        lake_dir = self.dir
+        layout = self._layout(cluster_by, max_input_bytes)
         gen = self.ledger.next_seq()
 
         groups = (
@@ -1670,43 +1726,12 @@ class LakeTable:
             else _byte_bounded_groups(live, max_input_bytes)
         )
 
-        @ray.remote(num_returns=factor)
-        def route_group(files: list[str]) -> tuple[pa.Table, ...]:
-            import numpy as np
-
-            from ..util import group_take_indices
-
-            tbl = pq.ParquetDataset(files, schema=target).read()
-            ids = (
-                hash_mod_column(tbl, key_cols, new_mod)
-                .to_numpy(zero_copy_only=False)
-                .astype(np.int64)
+        slices = [
+            _route_group.options(num_returns=factor).remote(
+                grp, target, self.key_cols, part, modulus, factor
             )
-            # child j owns ids == part + j * modulus; the stable argsort
-            # keeps each slice in input row order
-            return tuple(
-                tbl.take(idx).set_column(
-                    0, PART_COL, pa.array(np.full(idx.size, child, np.int32))
-                )
-                for child, idx in zip(
-                    children, group_take_indices((ids - part) // modulus, factor)
-                )
-            )
-
-        @ray.remote
-        def fold_child(child: int, stem: str, full: bool, *slices: pa.Table) -> list[dict]:
-            tbl = pa.concat_tables(slices)
-            if tbl.num_rows == 0:
-                return []
-            merged = resolve_keep_tombstones(tbl, key_cols)
-            if full:
-                merged = _drop_old_tombstones(merged, tombstone_watermark)
-            return _write_lake_files(
-                merged, lake_dir, child, stem, key_cols, zone_cols,
-                cluster_by, max_input_bytes,
-            )
-
-        slices = [route_group.remote(grp) for grp in groups]
+            for grp in groups
+        ]
         # every child receives ~1/factor of each group's on-disk bytes
         runs = _bounded_runs(
             range(len(groups)),
@@ -1715,10 +1740,11 @@ class LakeTable:
         )
         folds = {
             child: [
-                fold_child.remote(
+                _fold_child.remote(
                     child,
                     f"split-{gen:08d}" if len(runs) == 1 else f"split-{gen:08d}-{ri:04d}",
-                    len(runs) == 1,
+                    tombstone_watermark if len(runs) == 1 else 0,
+                    layout,
                     *(slices[g][j] for g in run),
                 )
                 for ri, run in enumerate(runs)
@@ -1767,9 +1793,10 @@ class LakeTable:
            input fits the budget is already a single compacted file.
         2. Size-tiered COMPACT partitions holding >= ``min_files`` live
            files under ``max_input_bytes`` (defaults to the partition
-           budget), with GC DEFERRED.
+           budget). Like a split, compaction never deletes a file.
         3. VACUUM with ``keep_history`` (skipped when None — retention
-           stays an explicit policy choice).
+           stays an explicit policy choice); ``keep_history=0`` deletes
+           every file this pass replaced, so the pass frees disk.
 
         Splits before compaction: folding an oversized partition first
         would burn a byte-bounded fold pass on files the split is about
@@ -1803,7 +1830,6 @@ class LakeTable:
             min_files=min_files,
             tombstone_watermark=tombstone_watermark,
             max_input_bytes=max_input_bytes or max_partition_bytes,
-            vacuum="defer",
             cluster_by=cluster_by,
         )
         vac = self.vacuum(keep_history) if keep_history is not None else None
@@ -1812,10 +1838,11 @@ class LakeTable:
     def vacuum(self, keep_history: int = 0) -> dict:
         """Retention pass: physically delete files that no CURRENT view
         references and whose replacing compaction/split committed at or
-        before ``max_seq - keep_history`` ledger rows ago — file GC
-        decoupled from compaction (use ``compact(vacuum="defer")``), the
-        archive step of the reference's uploader
-        (server/logfiles/uploader.go:138-145) done as policy.
+        before ``max_seq - keep_history`` ledger rows ago — the archive
+        step of the reference's uploader
+        (server/logfiles/uploader.go:138-145) done as policy. This is
+        the lake's ONLY delete path for data files and their Bloom
+        sidecars: compaction and splits just commit ledger rows.
 
         ``keep_history=N`` is the GRACE WINDOW in ledger rows: any
         ``as_of`` whose bounded replay only needs files replaced within

@@ -185,7 +185,7 @@ class Ledger:
         as-of view. Compactions stay safe only while no window has been
         excluded yet (they then fold included windows exclusively);
         once any window is excluded, later compactions may fold
-        excluded data and are skipped — if such a compaction vacuumed
+        excluded data and are skipped — if a vacuum then removed
         needed deltas, the read raises FileNotFoundError (the standard
         lakehouse time-travel-until-vacuum contract). A skipped SPLIT
         additionally freezes the replay (a TOPOLOGY BREAK): every later

@@ -401,9 +401,11 @@ def test_time_travel_read(ray_session, tmp_path):
     at1 = {(r["repo"], r["path"]) for r in lake.read(as_of=1).take_all()}
     assert at1 == {("r", "p1")}
     assert lake.read(as_of=0).take_all() == []
-    # a compaction folding windows BEYOND as_of vacuums that history:
-    # the time-travel read must fail loudly, not silently mis-answer
+    # a compaction folding windows BEYOND as_of, then a vacuum, removes
+    # that history: the time-travel read must fail loudly, not silently
+    # mis-answer
     lake.compact(min_files=1, tombstone_watermark=0)
+    lake.vacuum()
     with pytest.raises(FileNotFoundError):
         lake.read(as_of=2)
     # current state unaffected
@@ -622,6 +624,7 @@ def test_incremental_agg_view_float_and_rebuild(ray_session, tmp_path):
     # vacuum the view's watermark history: compact folds the delta away
     lake.apply_window(ds_of([(3, "insert", 3, "b", 1.5)]), 2, 3)
     lake.compact(min_files=1, tombstone_watermark=0)
+    lake.vacuum()
     m2 = view.refresh()
     assert m2["mode"] == "rebuild"
     got = {r["grp"]: (r["n"], r["sum_val"]) for r in view.read().to_pylist()}
@@ -763,6 +766,7 @@ def test_compaction_removes_stale_bloom_sidecars(ray_session, tmp_path):
     before = set(glob.glob(os.path.join(str(tmp_path / "lake"), "part=*", "*.bloom.npz")))
     assert before  # write path produced sidecars
     lake.compact()
+    lake.vacuum()
     after = set(glob.glob(os.path.join(str(tmp_path / "lake"), "part=*", "*.bloom.npz")))
     assert not (before & after)  # replaced deltas' sidecars are gone
     for b in after:
@@ -783,8 +787,9 @@ def test_lookup_as_of_vacuumed_history_raises(ray_session, tmp_path):
     lake = _lookup_lake(tmp_path)
     hi = lake.last_committed_hi()
     lake.delete_where(lambda b: pc.equal(b["repo"], "r0010"))
-    lake.compact(min_files=1)  # vacuum pre-delete deltas
-    with _pytest.raises(FileNotFoundError, match="vacuumed"):
+    lake.compact(min_files=1)
+    lake.vacuum()  # removes the pre-delete deltas
+    with _pytest.raises(FileNotFoundError, match="removed by vacuum ledger row"):
         lake.lookup([{"repo": "r0010", "path": "f.py"}], as_of=hi)
 
 
@@ -1085,6 +1090,7 @@ def test_replica_resync_after_source_vacuum(ray_session, tmp_path):
     # vacuum the history behind the replica watermark: the incremental
     # diff path is gone, replicate must fall back to a full re-sync
     src.compact(min_files=1, tombstone_watermark=4)
+    src.vacuum()
     m = replicate(src, dst)
     assert m["mode"] == "resync"
     assert _state(dst) == _state(src)
@@ -1145,8 +1151,8 @@ def test_diff_and_replica_across_source_split(ray_session, tmp_path):
 
 
 def test_replica_resync_after_deferred_vacuum(ray_session, tmp_path):
-    """Deferred-GC variant of the vacuum race: compact(vacuum='defer')
-    keeps the diff history alive (the round stays incremental), and
+    """Deferred-GC variant of the vacuum race: compaction alone keeps
+    the diff history alive (the round stays incremental), and
     only an explicit vacuum() behind the replica watermark degrades the
     next round to a full re-sync — retention as policy."""
     from jitsu_ray.pipelines.replicate import replicate
@@ -1166,7 +1172,7 @@ def test_replica_resync_after_deferred_vacuum(ray_session, tmp_path):
         ),
         1, 3,
     )
-    src.compact(min_files=1, vacuum="defer")
+    src.compact(min_files=1)
     # history intact: still an ordinary incremental round
     m = replicate(src, dst)
     assert m["mode"] == "incremental"
@@ -1174,7 +1180,7 @@ def test_replica_resync_after_deferred_vacuum(ray_session, tmp_path):
     # now vacuum history behind the watermark and change more state:
     # the diff path is gone, the round re-syncs and still converges
     src.apply_window(make_ds([ev(4, "delete", "r1", "a")]), 3, 4)
-    src.compact(min_files=1, vacuum="defer")
+    src.compact(min_files=1)
     src.vacuum(keep_history=0)
     m = replicate(src, dst)
     assert m["mode"] == "resync"
@@ -1480,8 +1486,8 @@ def test_replica_resync_helper_key_name_collision(ray_session, tmp_path):
 def test_tiered_compaction_bounded_and_deferred(ray_session, tmp_path):
     """Size-tiered compaction: with max_input_bytes each fold reads a
     byte-bounded CONSECUTIVE run, state is unchanged, repeated passes
-    converge toward one base, and vacuum='defer' keeps replaced files
-    on disk so older time travel still works until vacuum()."""
+    converge toward one base, and compaction keeps replaced files on
+    disk so older time travel still works until vacuum()."""
     lake = LakeTable.create(str(tmp_path / "lake"), ["repo", "path"], 2)
     for w in range(6):
         lake.apply_window(
@@ -1497,7 +1503,7 @@ def test_tiered_compaction_bounded_and_deferred(ray_session, tmp_path):
     before = _state(lake)
     n_before = sum(len(fs) for fs in lake.live_files().values())
     # tiny budget: every pair of small files folds, several tiers per part
-    entry = lake.compact(max_input_bytes=20_000, vacuum="defer")
+    entry = lake.compact(max_input_bytes=20_000)
     assert _state(lake) == before
     n_after = sum(len(fs) for fs in lake.live_files().values())
     assert n_after < n_before
@@ -1516,7 +1522,7 @@ def test_tiered_compaction_bounded_and_deferred(ray_session, tmp_path):
     assert {(r["repo"], r["path"]) for r in early} == {("r1", "p0"), ("r1", "hot")}
     # repeated tiered passes converge without changing state
     for _ in range(3):
-        lake.compact(max_input_bytes=20_000, vacuum="defer")
+        lake.compact(max_input_bytes=20_000)
     assert _state(lake) == before
     # equal-seq tie order survives a PREFIX fold: force-commit a
     # same-seq rewrite (later arrival wins), tier-compact only the old
@@ -1527,7 +1533,7 @@ def test_tiered_compaction_bounded_and_deferred(ray_session, tmp_path):
         0, 1, force=True,
     )
     assert _state(lake)[("r1", "hot")][2] == f"v{top}-late"
-    lake.compact(max_input_bytes=20_000, vacuum="defer")
+    lake.compact(max_input_bytes=20_000)
     assert _state(lake)[("r1", "hot")][2] == f"v{top}-late"
 
 
@@ -1583,7 +1589,7 @@ def test_partition_split_routes_and_preserves_state(ray_session, tmp_path):
 def test_maintain_policy_pass(ray_session, tmp_path):
     """maintain(): one pass auto-splits partitions over the byte
     budget (factor sized to land children near the budget),
-    tier-compacts with deferred GC, and vacuums on the retention
+    tier-compacts (deleting nothing), and vacuums on the retention
     window — state invariant throughout, new windows route to the
     refined topology."""
     from jitsu_ray.sinks.lake import active_moduli
@@ -1820,12 +1826,12 @@ def test_tiered_compaction_pairs_stalled_singletons(ray_session, tmp_path):
     before = _state(lake)
     files = lake.live_files()[0]
     budget = min(os.path.getsize(f) for f in files) - 1
-    entry = lake.compact(min_files=2, max_input_bytes=budget, vacuum="defer")
+    entry = lake.compact(min_files=2, max_input_bytes=budget)
     [info] = entry["parts"].values()
     assert info["fallback"] is True and len(info["replaces"]) == 2
     assert len(lake.live_files()[0]) == 2
     assert _state(lake) == before
-    lake.compact(min_files=2, max_input_bytes=budget, vacuum="defer")
+    lake.compact(min_files=2, max_input_bytes=budget)
     assert len(lake.live_files()[0]) == 1
     assert _state(lake) == before
 
@@ -1861,7 +1867,7 @@ def test_clustered_compaction_prunes_range_scans(ray_session, tmp_path):
     st = dict(lake.last_scan_stats)
     assert st["files_full"] == st["files_total"]  # random order: no pruning
 
-    lake.compact(cluster_by=["commit"], max_input_bytes=40_000, vacuum="defer")
+    lake.compact(cluster_by=["commit"], max_input_bytes=40_000)
     assert {r["path"]: r["commit"] for r in lake.read().take_all()} == before
     assert band_paths() == unclustered
     st2 = dict(lake.last_scan_stats)
@@ -1895,9 +1901,7 @@ def test_clustered_chunks_preserve_tie_order(ray_session, tmp_path):
     # budget sized so the two NORMAL windows (holding pX v-old) fold in
     # one CHUNKED tier while the forced repair file stays its own
     # single-file tier AFTER them in ledger order — the hazard shape
-    entry = lake.compact(
-        cluster_by=["commit"], max_input_bytes=11_000, vacuum="defer"
-    )
+    entry = lake.compact(cluster_by=["commit"], max_input_bytes=11_000)
     [infos] = entry["parts"].values()
     assert isinstance(infos, list) and len(infos) >= 2  # fold chunked
     assert len(infos[0]["replaces"]) == 2  # ...and folded ONLY w1+w2
@@ -1944,7 +1948,7 @@ def test_vacuum_retention_grace_window(ray_session, tmp_path):
             make_ds([ev(w + 1, "insert", "r", f"p{w}", "c", "py", f"v{w+1}")]),
             w, w + 1,
         )
-    lake.compact(vacuum="defer")
+    lake.compact()
     # generous grace window: nothing removable yet
     assert lake.vacuum(keep_history=100)["removed"] == []
     assert len(lake.read(as_of=1).take_all()) == 1
@@ -1960,16 +1964,16 @@ def test_vacuum_retention_grace_window(ray_session, tmp_path):
 def test_lake_random_interleaving_matches_oracle(ray_session, tmp_path):
     """Property for the CORE lake: under any interleaving of normal
     windows, late force-committed windows (old bounds, old/tied seqs),
-    tombstone-retaining compactions (whole-partition AND size-tiered
-    deferred-GC), ledger checkpoints, PARTITION SPLITS and vacuum
+    tombstone-retaining compactions (whole-partition AND size-tiered),
+    ledger checkpoints, PARTITION SPLITS and vacuum
     retention passes, the resolved state always equals a pure-Python
     LWW fold with the lake's tie rule (higher commit_seq wins; equal
     seqs -> later-arrived row wins), lookup routes every key to its
     refined partition, and time travel at any committed hi equals the
     fold over the bounded ledger replay — including the TOPOLOGY BREAK
     rule (a split after the first excluded window ends the bounded
-    view) — or raises FileNotFoundError once GC took that history away
-    (immediate compaction or vacuum; the lakehouse contract)."""
+    view) — or raises FileNotFoundError once a vacuum took that history
+    away (the lakehouse contract)."""
     import uuid as _uuid
 
     import hypothesis.strategies as st
@@ -1998,7 +2002,7 @@ def test_lake_random_interleaving_matches_oracle(ray_session, tmp_path):
         events: list = []  # (seq, op, key) in arrival order
         ledger_log: list = []  # ("window", hi, [event idx]) | ("split",)
         seq = hi = 0
-        lossy = False  # immediate compact / vacuum may drop history
+        lossy = False  # only vacuum may drop history
         for _ in range(data.draw(st.integers(3, 7))):
             act = data.draw(
                 st.sampled_from(
@@ -2008,12 +2012,10 @@ def test_lake_random_interleaving_matches_oracle(ray_session, tmp_path):
             )
             if act == "compact":
                 lake.compact(min_files=1, tombstone_watermark=0)
-                lossy = True
             elif act == "tiered":
                 lake.compact(
                     min_files=2,
                     max_input_bytes=data.draw(st.sampled_from([1, 20_000])),
-                    vacuum="defer",
                 )
             elif act == "split":
                 parts = sorted(active_moduli(3, lake.ledger.splits()))
@@ -2154,10 +2156,10 @@ def test_replica_random_interleaving_matches_source(ray_session, tmp_path):
                 )
                 continue
             if act == "vacuum":
-                # deferred-GC fold then retention: an incremental round
+                # fold then retention: an incremental round
                 # whose diff history was vacuumed must degrade to resync
                 # (and still converge), never diverge or crash
-                src.compact(min_files=1, tombstone_watermark=0, vacuum="defer")
+                src.compact(min_files=1, tombstone_watermark=0)
                 src.vacuum(keep_history=data.draw(st.integers(0, 3)))
                 continue
             if act in ("window", "late"):
@@ -2729,3 +2731,36 @@ def test_replicate_many_shared_diff_fanout(ray_session, tmp_path):
     res = replicate_many(src, targets + [{"dst": d_new}])
     assert [r["mode"] for r in res] == ["incremental"] * 4
     assert _state(d_new) == _state(src) == _state(d_plain)
+
+
+def test_no_ray_remote_inside_function_bodies():
+    """Every Ray task and actor in the package is defined at module
+    level: a ``ray.remote`` applied inside a function body registers a
+    new task type on every call, and a long-lived session accumulates
+    them without bound."""
+    import ast
+    import pathlib
+
+    import jitsu_ray
+
+    def is_ray_remote(node) -> bool:
+        # the `ray.remote` attribute: bare or called decorator, or a call
+        return (
+            isinstance(node, ast.Attribute)
+            and node.attr == "remote"
+            and isinstance(node.value, ast.Name)
+            and node.value.id == "ray"
+        )
+
+    root = pathlib.Path(jitsu_ray.__file__).parent
+    found = []
+    for path in sorted(root.rglob("*.py")):
+        for fn in ast.walk(ast.parse(path.read_text())):
+            if isinstance(fn, (ast.FunctionDef, ast.AsyncFunctionDef)):
+                found += [
+                    f"{path.relative_to(root)}:{node.lineno} in {fn.name}"
+                    for stmt in fn.body
+                    for node in ast.walk(stmt)
+                    if is_ray_remote(node)
+                ]
+    assert not found, f"ray.remote inside a function body: {found}"

@@ -15,7 +15,7 @@ from jitsu_ray.ops.dedup import (
     ngram_jaccard_pairs,
 )
 from jitsu_ray.ops.similarity import ann_ivf, knn_cosine, train_centroids
-from jitsu_ray.ops.text import Fingerprint, LangId, QualityScore, TextStats, TokenCount
+from jitsu_ray.ops.text import DocAnalyzer, TextStats
 
 
 def docs_table():
@@ -172,15 +172,18 @@ def test_text_stats_and_quality():
     out = TextStats()(t)
     assert out["n_tokens"].to_pylist() == [3, 1]
     assert out["n_chars2"].to_pylist() == [8, 5]
-    df = pd.DataFrame({"text": ["the cat and the dog of the house", "zxq wvu"]})
-    q = QualityScore()(df.copy())
-    assert q["stopword_ratio"][0] > q["stopword_ratio"][1]
-    li = LangId()(pd.DataFrame({"text": ["the quick fox is on the hill", "el perro y la casa en un dia", ""]}))
-    assert li["lang_pred"].tolist() == ["en", "es", "und"]
-    tc = TokenCount()(pd.DataFrame({"text": ["a,b c!"]}))
-    assert tc["n_bpe_tokens"].tolist() == [5]
-    fp = Fingerprint()(pd.DataFrame({"text": ["x y z", "x y z", "z y x"]}))
-    assert fp["fingerprint"][0] == fp["fingerprint"][1] != fp["fingerprint"][2]
+
+    def analyze(texts, *features):
+        return DocAnalyzer(features)(pa.table({"text": pa.array(texts)}))
+
+    q = analyze(["the cat and the dog of the house", "zxq wvu"], "stopword_ratio")
+    assert q["stopword_ratio"][0].as_py() > q["stopword_ratio"][1].as_py()
+    li = analyze(["the quick fox is on the hill", "el perro y la casa en un dia", ""], "lang_pred")
+    assert li["lang_pred"].to_pylist() == ["en", "es", "und"]
+    tc = analyze(["a,b c!"], "n_bpe_tokens")
+    assert tc["n_bpe_tokens"].to_pylist() == [5]
+    fp = analyze(["x y z", "x y z", "z y x"], "fingerprint")["fingerprint"].to_pylist()
+    assert fp[0] == fp[1] != fp[2]
 
 
 def test_multimodal_stub_plumbing(ray_session):
@@ -3759,3 +3762,23 @@ def test_strip_repeated_lines_param_validation(ray_session):
         strip_repeated_lines(ds, out_col="removed")
     with pytest.raises(ValueError, match="num_shards >= 1"):
         global_shuffle_positions(ds, "doc_id", num_shards=0)
+
+
+def test_md5_id_hash_rejects_unsupported_id_types(ray_session):
+    # only int and string ids stringify identically in Arrow, Python
+    # and DuckDB; a float id must fail loudly, not hash per-row str()
+    import pyarrow as pa
+    import pytest
+    import ray
+
+    from jitsu_ray.ops.corpus import _md5_lower64_column, global_shuffle_positions
+
+    hv, nulls = _md5_lower64_column(pa.array([7, None], pa.int64()))
+    assert hv[0] == _md5_lower64_column(pa.array(["7"]))[0][0] and nulls.tolist() == [False, True]
+    with pytest.raises(TypeError, match="integer or string"):
+        _md5_lower64_column(pa.array([1.5, 2.0]))
+    ds = ray.data.from_arrow(pa.table({"doc_id": pa.array([1.5, 2.5])}))
+    # inside a Ray Data task the TypeError surfaces wrapped in Ray's
+    # task error, with the original message and type in its text
+    with pytest.raises(Exception, match="TypeError: id column must be an integer or string"):
+        global_shuffle_positions(ds, "doc_id", num_shards=2).materialize()

@@ -7,6 +7,7 @@ import hashlib
 
 import duckdb
 import pyarrow as pa
+import pytest
 
 from jitsu_ray.pipelines.replay import Replayer, changelog_max_seq, replay_changelog
 from jitsu_ray.sinks.lake import LakeTable
@@ -101,9 +102,11 @@ def test_generator_determinism():
     assert not a.equals(c)
 
 
-def test_streaming_mode_transient_retry_converges(ray_session, tmp_path):
+@pytest.mark.parametrize("method", ["run", "run_streaming"])
+def test_streaming_mode_transient_retry_converges(ray_session, tmp_path, method):
     # §3.2 streaming semantics: a window whose apply fails transiently is
-    # retried with backoff and the final state equals a clean replay's
+    # retried with backoff and the final state equals a clean replay's;
+    # batch replay (run) rides the same loop, so it retries too
     from jitsu_ray.sinks.retry import TransientSinkError
 
     tbl = gen_changelog(n_events=4000, n_repos=15, seed=21)
@@ -121,7 +124,7 @@ def test_streaming_mode_transient_retry_converges(ray_session, tmp_path):
 
     lake = FlakyLake.create(str(tmp_path / "lake"), ["repo", "path"], 4)
     rep = Replayer(log, lake, window_size=1000)
-    m = rep.run_streaming(backoff_sec=0.01)
+    m = getattr(rep, method)()
     assert m["retried"] == 2 and not m["spooled"]
     assert m["windows"] == 4 and m["latency_p95_sec"] >= m["latency_p50_sec"] > 0
 

@@ -199,6 +199,7 @@ def test_replication_propagates_additive_schema(ray_session, tmp_path):
     )
     src.apply_window(ds_of(w3), 3, 4)
     src.compact(min_files=1, tombstone_watermark=4)
+    src.vacuum()
     m = replicate(src, dst)
     assert m["mode"] == "resync"
     assert dst.schema.fields["stars"] == T.FLOAT64
