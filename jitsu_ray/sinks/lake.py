@@ -56,6 +56,7 @@ from __future__ import annotations
 import json
 import math
 import os
+import re
 import tempfile
 
 import pyarrow as pa
@@ -95,12 +96,26 @@ def _bounded_runs(items, sizes: list[float], budget: float) -> list[list]:
     return runs
 
 
-def _byte_bounded_groups(files: list[str], budget: int) -> list[list[str]]:
-    """Consecutive runs of ``files`` (ledger order) whose on-disk bytes
-    stay within ``budget`` — the shared grouping rule of size-tiered
-    compaction and byte-bounded splits (compaction passes a singleton
-    group through; a split still routes it file-at-a-time)."""
-    return _bounded_runs(files, [os.path.getsize(f) for f in files], budget)
+_CHUNK_RE = re.compile(r"-c\d{3,}\.parquet$")  # a clustered fold's chunk file
+
+
+def _chunk_runs(files: list[str]) -> list[list[str]]:
+    """Group a partition's live ``files`` (ledger order) into tier
+    UNITS: a clustered fold's anchored chunk run (``<stem>-cNNN``
+    files, consecutive in the replay by ``insert_after``) is one unit,
+    every other file its own. Maintenance folds whole units only, so a
+    run cut at its target is never regrouped chunk by chunk."""
+    units: list[list[str]] = []
+    prev = None
+    for f in files:
+        m = _CHUNK_RE.search(f)
+        stem = f[: m.start()] if m else None
+        if stem is not None and stem == prev:
+            units[-1].append(f)
+        else:
+            units.append([f])
+        prev = stem
+    return units
 
 
 def active_moduli(base: int, splits: list) -> dict[int, int]:
@@ -234,6 +249,16 @@ def _drop_old_tombstones(tbl: pa.Table, watermark: int) -> pa.Table:
     return tbl.filter(pc.invert(drop))
 
 
+# Codec of every lake data file. On-disk bytes are what write and
+# space amplification count: on a 100k-event window of generated source
+# files, zstd-1 writes 2.5x fewer bytes than pyarrow's default snappy
+# (2.95 vs 7.34 MB) at ~15% lower write speed and reads faster; zstd-3
+# saves another 22% of bytes but writes ~25% slower than snappy.
+# Parquet records the codec per column chunk, so a lake mixing older
+# snappy files with zstd ones reads as it is.
+_LAKE_PARQUET = {"compression": "zstd", "compression_level": 1}
+
+
 def _write_lake_files(
     tbl: pa.Table,
     lake_dir: str,
@@ -242,31 +267,34 @@ def _write_lake_files(
     key_cols: list[str],
     zone_cols: list[str],
     cluster_by: list[str] | None = None,
-    chunk_bytes: int | None = None,
+    rows_per_chunk: float | None = None,
 ) -> list[dict]:
-    """Write one RESOLVED table (one row per key) as lake file(s) under
-    ``part=<part>/`` and return one ledger info per file — the single
-    writer behind window deltas, compaction folds and split children.
-    Each file is written tmp+replace at a deterministic path (a retry
-    converges), gets its key Bloom sidecar, and its info records
-    ``file``, ``rows``, on-disk ``bytes`` and the zone-map
-    ``key_stats``.
+    """Write one RESOLVED table (one row per key) as zstd lake file(s)
+    (``_LAKE_PARQUET``) under ``part=<part>/`` and return one ledger
+    info per file — the single writer behind window deltas, compaction
+    folds and split children. Each file is written tmp+replace at a
+    deterministic path (a retry converges), gets its key Bloom sidecar,
+    and its info records ``file``, ``rows``, on-disk ``bytes`` and the
+    zone-map ``key_stats``.
 
     ``cluster_by``: CLUSTERED rewrite — sort by these columns and cut
     into range-disjoint chunk files ``<stem>-cNNN`` of about
-    ``chunk_bytes`` Arrow bytes (default 64 MB), so each file's zone map
-    covers a NARROW band and ``scan_range`` prunes most files
+    ``rows_per_chunk`` rows (one chunk when None), so each file's zone
+    map covers a NARROW band and ``scan_range`` prunes most files
     (lexicographic Z-ordering; safe because the table holds one
     resolved row per key, so intra-table row order never decides an LWW
-    tie). Chunk infos j >= 1 ANCHOR to their predecessor
-    (``insert_after``) so the whole chunk run replays at the first
-    chunk's position."""
+    tie). Folds size ``rows_per_chunk`` from their inputs' on-disk
+    bytes per row (``_fold_and_write``), so a chunk lands near its
+    on-disk byte target — the unit tiering counts. Chunk infos j >= 1
+    ANCHOR to their predecessor (``insert_after``) so the whole chunk
+    run replays at the first chunk's position, and maintenance treats
+    the run as one unit (``_chunk_runs``)."""
     part_dir = os.path.join(lake_dir, f"part={part:05d}")
     os.makedirs(part_dir, exist_ok=True)
     chunks = [tbl]
     if cluster_by and tbl.num_rows:
         tbl = tbl.sort_by([(c, "ascending") for c in cluster_by])
-        n_chunks = max(1, -(-tbl.nbytes // (chunk_bytes or (64 << 20))))
+        n_chunks = math.ceil(tbl.num_rows / (rows_per_chunk or tbl.num_rows))
         rows_per = -(-tbl.num_rows // n_chunks)
         chunks = [tbl.slice(i, rows_per) for i in range(0, tbl.num_rows, rows_per)]
     infos: list[dict] = []
@@ -277,7 +305,7 @@ def _write_lake_files(
         fd, tmp = tempfile.mkstemp(dir=part_dir, suffix=".tmp")
         os.close(fd)
         chunk = chunk.combine_chunks()
-        pq.write_table(chunk, tmp)
+        pq.write_table(chunk, tmp, **_LAKE_PARQUET)
         os.replace(tmp, final)
         _write_key_bloom(chunk, key_cols, final)
         info = {
@@ -311,15 +339,27 @@ def _prep_window_batch(
 
 
 def _fold_and_write(
-    tbl: pa.Table, part: int, stem: str, watermark: int, layout: dict
+    tbl: pa.Table, part: int, stem: str, watermark: int, layout: dict,
+    in_bytes: float,
 ) -> list[dict]:
     """LWW-resolve ``tbl`` (tombstones kept, then those at or below
     ``watermark`` dropped — pass 0 unless the fold covers the whole
     partition) and write it through ``_write_lake_files``, whose other
-    arguments ``layout`` holds (``LakeTable._layout``)."""
+    arguments ``layout`` holds (``LakeTable._layout``).
+
+    Clustered chunks are cut at ``layout["chunk_bytes"]`` (default
+    64 MB) of ON-DISK bytes, estimated from the inputs: ``tbl`` came
+    from ``in_bytes`` of lake files, so a chunk holds
+    ``chunk_bytes / (in_bytes / tbl.num_rows)`` rows. The estimate
+    carries the inputs' codec with it, and resolution only drops rows,
+    so a fold whose input fits ``chunk_bytes`` writes one file."""
+    writer = dict(layout)
+    chunk_bytes = writer.pop("chunk_bytes") or (64 << 20)
+    rows_per_chunk = chunk_bytes * tbl.num_rows / max(in_bytes, 1)
     merged = resolve_keep_tombstones(tbl, layout["key_cols"])
     return _write_lake_files(
-        _drop_old_tombstones(merged, watermark), part=part, stem=stem, **layout
+        _drop_old_tombstones(merged, watermark), part=part, stem=stem,
+        rows_per_chunk=rows_per_chunk, **writer,
     )
 
 
@@ -330,7 +370,8 @@ def _compact_fold(
 ) -> list[dict]:
     """One compaction fold of ``files`` (ledger order) into ``part``."""
     tbl = pq.ParquetDataset(files, schema=target).read()
-    infos = _fold_and_write(tbl, part, stem, watermark, layout)
+    in_bytes = sum(os.path.getsize(f) for f in files)
+    infos = _fold_and_write(tbl, part, stem, watermark, layout, in_bytes)
     # only the first chunk replaces the inputs; later chunks anchor to
     # their predecessor (insert_after) so the chunk run sits at the
     # fold's replay position
@@ -371,14 +412,16 @@ def _route_group(
 
 @ray.remote
 def _fold_child(
-    child: int, stem: str, watermark: int, layout: dict, *slices: pa.Table
+    child: int, stem: str, watermark: int, layout: dict, in_bytes: float,
+    *slices: pa.Table,
 ) -> list[dict]:
     """Split fold: concatenate one child's slices in parent file order
-    and write the child once, resolved."""
+    and write the child once, resolved. ``in_bytes`` is the child's
+    share of its source files' on-disk bytes."""
     tbl = pa.concat_tables(slices)
     if tbl.num_rows == 0:
         return []
-    return _fold_and_write(tbl, child, stem, watermark, layout)
+    return _fold_and_write(tbl, child, stem, watermark, layout, in_bytes)
 
 
 @ray.remote(num_cpus=0)
@@ -1556,17 +1599,23 @@ class LakeTable:
         ``max_input_bytes``: SIZE-TIERED mode — the 100-TB scale fix for
         whole-partition single-task folds (a partition's accumulated
         state eventually outgrows one worker's heap). Each fold task
-        reads at most this many input bytes: a partition's live files
-        are grouped into CONSECUTIVE runs (ledger order) under the
-        budget; each run of >= 2 files folds into one base, single-file
-        runs pass through untouched. A partition whose groups are ALL
-        singletons (adjacent files each near or over the budget) would
-        never fold, so its cheapest adjacent pair folds instead — one
+        reads at most this many compressed ON-DISK input bytes (like
+        every byte budget of the lake): a partition's live files are
+        grouped into units (a clustered fold's chunk run counts as ONE
+        unit, so a run cut at its target is never regrouped chunk by
+        chunk) and the units into CONSECUTIVE runs (ledger order) under
+        the budget; each run of >= 2 units folds into one base,
+        single-unit runs pass through untouched. A partition whose groups are ALL singletons
+        (adjacent units each near or over the budget) would never fold,
+        so its cheapest adjacent unit pair folds instead — one
         over-budget fold per partition, marked ``"fallback": true`` in
-        its ledger info. Repeated tiered compactions
+        its ledger info — unless that fold would raise the file count
+        (a clustered pair cut into more chunks than it has files).
+        ``min_files`` counts units too. Repeated tiered compactions
         converge geometrically (N small deltas -> N/k tier bases -> ...)
-        while every task stays byte-bounded. Correctness under partial
-        folds relies on two invariants: (a) the ledger replay INSERTS a
+        while every task stays byte-bounded, and with no new windows
+        they reach a pass that commits nothing. Correctness under
+        partial folds relies on two invariants: (a) the ledger replay INSERTS a
         fold's output at its first replaced file's position, so
         equal-seq LWW tie order is preserved; (b) the tombstone
         watermark is only applied when a single fold covers ALL of a
@@ -1576,14 +1625,15 @@ class LakeTable:
 
         ``cluster_by``: CLUSTERED rewrite (the lakehouse OPTIMIZE/
         Z-ORDER idea, lexicographic): each fold's output is sorted by
-        these columns and cut into range-disjoint chunk files (sized by
-        ``max_input_bytes``, default 64 MB; see ``_write_lake_files``),
-        so every file's ledger zone map covers a narrow band of the
-        clustering columns and ``scan_range`` over them prunes most
-        files — without it a random-ordered base spans the whole domain
-        and nothing ever prunes. Use the partition's dominant
-        range-scan column(s) (``stats_cols`` entries, typically a time
-        or score band). Only the first chunk carries the fold's
+        these columns and cut into range-disjoint chunk files of about
+        ``max_input_bytes`` on-disk bytes (default 64 MB), estimated
+        from the inputs' bytes per row (``_fold_and_write``; a fold
+        whose input fits the budget writes one file) — so every file's
+        ledger zone map covers a narrow band of the clustering columns
+        and ``scan_range`` over them prunes most files; without it a
+        random-ordered base spans the whole domain and nothing ever
+        prunes. Use the partition's dominant range-scan column(s)
+        (``stats_cols`` entries, typically a time or score band). Only the first chunk carries the fold's
         ``replaces``; the rest anchor to it (``insert_after``).
 
         Raw Ray tasks (not Dataset) by design: this is per-partition file
@@ -1596,39 +1646,53 @@ class LakeTable:
         target = self.full_arrow_schema()
         layout = self._layout(cluster_by, max_input_bytes)
         gen = self.ledger.next_seq()
-        todo = {p: fs for p, fs in self.live_files().items() if len(fs) >= min_files}
+        todo = {p: _chunk_runs(fs) for p, fs in self.live_files().items()}
+        todo = {p: units for p, units in todo.items() if len(units) >= min_files}
         if not todo:
             return {"kind": "compact", "parts": {}}
         parts, tasks = [], []
-        for p, fs in sorted(todo.items()):
+        for p, units in sorted(todo.items()):
+            # tiers group whole UNITS (a chunk run counts once), so a
+            # run already cut at the budget is a singleton and stays
+            sizes = [sum(os.path.getsize(f) for f in u) for u in units]
             groups = (
-                [fs]
+                [units]
                 if max_input_bytes is None
-                else _byte_bounded_groups(fs, max_input_bytes)
+                else _bounded_runs(units, sizes, max_input_bytes)
             )
-            full_fold = len(groups) == 1 and len(groups[0]) == len(fs)
+            full_fold = len(groups) == 1 and len(groups[0]) == len(units)
             # a lone (possibly huge) tier passes through; a FULL
-            # single-file fold still runs (min_files=1 +
+            # single-unit fold still runs (min_files=1 +
             # tombstone_watermark relies on it)
             folds = [
                 (t, grp, full_fold)
                 for t, grp in enumerate(groups)
                 if len(grp) >= 2 or full_fold
             ]
-            fallback = not folds and len(fs) >= 2
+            fallback = not folds and len(units) >= 2
             if fallback:
                 # TIER STALL: every byte-bounded group is a singleton
-                # (adjacent files each near or over the budget), so no
-                # fold would ever run. Fold the adjacent pair with the
-                # fewest bytes — one over-budget fold per partition per
-                # pass, so the file count still converges
-                sizes = [os.path.getsize(f) for f in fs]
-                i = min(range(len(fs) - 1), key=lambda k: sizes[k] + sizes[k + 1])
-                folds = [(i, fs[i : i + 2], len(fs) == 2)]
+                # (adjacent units each near or over the budget), so no
+                # fold would ever run. Fold the adjacent unit pair with
+                # the fewest bytes — one over-budget fold per partition
+                # per pass, so the unit count still converges — among
+                # pairs whose fold does not raise the file count: an
+                # unclustered fold writes one file, a clustered one up
+                # to ceil(bytes / budget) chunks
+                pairs = [sizes[k] + sizes[k + 1] for k in range(len(units) - 1)]
+                cands = [
+                    k for k, b in enumerate(pairs)
+                    if not cluster_by
+                    or -(-b // max_input_bytes) <= len(units[k]) + len(units[k + 1])
+                ]
+                if not cands:
+                    continue
+                i = min(cands, key=pairs.__getitem__)
+                folds = [(i, units[i : i + 2], len(units) == 2)]
             for t, grp, full in folds:
                 parts.append(p)
                 tasks.append(_compact_fold.remote(
-                    grp, target, p,
+                    [f for u in grp for f in u], target, p,
                     f"base-{gen:08d}" if full_fold else f"base-{gen:08d}-{t:03d}",
                     tombstone_watermark if full else 0, fallback, layout,
                 ))
@@ -1690,12 +1754,14 @@ class LakeTable:
         consecutive runs whose on-disk source bytes (group bytes /
         factor) fit ``max_input_bytes``; a child whose input fits gets
         exactly one file, otherwise one file per run (in run order).
+        ``max_input_bytes`` counts compressed on-disk bytes.
 
         ``tombstone_watermark`` follows compaction's full-fold rule:
         tombstones at or below it are dropped only when ONE run covers
         all of a child's rows. ``cluster_by`` sorts each child's fold
         and cuts it into range-disjoint chunk files exactly like
-        :meth:`compact`.
+        :meth:`compact`, at ``max_input_bytes`` of on-disk bytes
+        estimated from the child's share of its source files.
 
         Parent files are NOT deleted (a split always defers GC):
         time travel to pre-split state keeps working until an explicit
@@ -1723,7 +1789,9 @@ class LakeTable:
         groups = (
             [[f] for f in live]  # default: one routing task per file
             if max_input_bytes is None
-            else _byte_bounded_groups(live, max_input_bytes)
+            else _bounded_runs(
+                live, [os.path.getsize(f) for f in live], max_input_bytes
+            )
         )
 
         slices = [
@@ -1733,9 +1801,10 @@ class LakeTable:
             for grp in groups
         ]
         # every child receives ~1/factor of each group's on-disk bytes
+        shares = [sum(os.path.getsize(f) for f in grp) / factor for grp in groups]
         runs = _bounded_runs(
             range(len(groups)),
-            [sum(os.path.getsize(f) for f in grp) / factor for grp in groups],
+            shares,
             math.inf if max_input_bytes is None else max_input_bytes,
         )
         folds = {
@@ -1745,6 +1814,7 @@ class LakeTable:
                     f"split-{gen:08d}" if len(runs) == 1 else f"split-{gen:08d}-{ri:04d}",
                     tombstone_watermark if len(runs) == 1 else 0,
                     layout,
+                    sum(shares[g] for g in run),
                     *(slices[g][j] for g in run),
                 )
                 for ri, run in enumerate(runs)
@@ -1781,7 +1851,10 @@ class LakeTable:
         cluster_by: list[str] | None = None,
     ) -> dict:
         """ONE policy-driven maintenance pass — the operational loop a
-        long-running lake schedules instead of hand-picking mechanisms:
+        long-running lake schedules instead of hand-picking mechanisms.
+        Both byte budgets count compressed ON-DISK bytes (zstd files,
+        ``_LAKE_PARQUET``), so a partition holds about 2.5x more rows
+        of source-code text before it splits than it did as snappy:
 
         1. SPLIT every active partition whose live bytes exceed
            ``max_partition_bytes`` (factor = ceil(bytes / budget),

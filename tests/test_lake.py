@@ -1774,9 +1774,10 @@ def test_split_fold_keeps_equal_seq_tie_order(ray_session, tmp_path, max_input_b
 
 def test_maintain_clustered_split_children_prune(ray_session, tmp_path):
     """maintain(cluster_by=...) clusters the split children themselves:
-    each child's fold is sorted and cut into chunk files whose zone maps
-    are range-disjoint, so a narrow scan_range band prunes most of them
-    without waiting for a compaction."""
+    a child whose input exceeds the on-disk chunk budget is sorted and
+    cut into chunk files whose zone maps are range-disjoint, so a
+    narrow scan_range band prunes most of them without waiting for a
+    compaction."""
     import random
 
     rnd = random.Random(5)
@@ -1788,14 +1789,15 @@ def test_maintain_clustered_split_children_prune(ray_session, tmp_path):
         ev(i + 1, "insert", "r", f"p{i}", f"{v:06d}", "py", "x" * 300)
         for i, v in enumerate(vals)
     ]
-    lake.apply_window(make_ds(rows[:300]), 0, 300)
-    lake.apply_window(make_ds(rows[300:]), 300, 600)
+    lake.apply_window(make_ds(rows), 0, 600)
     before = {r["path"]: r["commit"] for r in lake.read().take_all()}
     band = ("020000", "029999")
     want = {p: c for p, c in before.items() if band[0] <= c <= band[1]}
     total = sum(os.path.getsize(f) for f in lake.live_files()[0])
-    out = lake.maintain(max_partition_bytes=total // 2 + 1, min_files=99,
-                        cluster_by=["commit"])
+    # factor clamped to 2: each child's half of the parent file is about
+    # twice the budget, so its fold cuts about two on-disk chunks
+    out = lake.maintain(max_partition_bytes=total // 4 + 1, min_files=99,
+                        max_split_factor=2, cluster_by=["commit"])
     [split] = out["splits"]
     for infos in split["parts"].values():
         assert len(infos) > 1  # the child's fold really chunked
@@ -1855,9 +1857,14 @@ def test_clustered_compaction_prunes_range_scans(ray_session, tmp_path):
            "py", "x" * 200)
         for i in range(600)
     ]
-    lake.apply_window(make_ds(rows[:300]), 0, 300)
-    lake.apply_window(make_ds(rows[300:]), 300, 600)
+    for w in range(3):
+        lake.apply_window(make_ds(rows[w * 200 : w * 200 + 200]), w * 200, w * 200 + 200)
     before = {r["path"]: r["commit"] for r in lake.read().take_all()}
+    # an on-disk budget no two adjacent windows fit, but one pair folds
+    # into at most two chunks: the stalled tier folds its cheapest pair,
+    # sorted and cut at the budget
+    sizes = [os.path.getsize(f) for f in lake.live_files()[0]]
+    budget = int(0.8 * min(a + b for a, b in zip(sizes, sizes[1:])))
 
     def band_paths():
         out = lake.scan_range("commit", "02000", "02999").take_all()
@@ -1867,7 +1874,7 @@ def test_clustered_compaction_prunes_range_scans(ray_session, tmp_path):
     st = dict(lake.last_scan_stats)
     assert st["files_full"] == st["files_total"]  # random order: no pruning
 
-    lake.compact(cluster_by=["commit"], max_input_bytes=40_000)
+    lake.compact(cluster_by=["commit"], max_input_bytes=budget)
     assert {r["path"]: r["commit"] for r in lake.read().take_all()} == before
     assert band_paths() == unclustered
     st2 = dict(lake.last_scan_stats)
@@ -1892,16 +1899,28 @@ def test_clustered_chunks_preserve_tie_order(ray_session, tmp_path):
     rows[100] = ev(101, "insert", "r", "pX", "99999", "py", "v-old")
     lake.apply_window(make_ds(rows[:100]), 0, 100)
     lake.apply_window(make_ds(rows[100:]), 100, 200)
-    # forced same-seq repair: last arrival wins the tie
+    # forced same-seq repair: last arrival wins the tie; filler rows
+    # make the repair file the largest of the three
+    import random
+
+    rnd = random.Random(1)
+    filler = [
+        ev(1000 + i, "insert", "r", f"q{i:03d}", f"{i:05d}", "py", _noisy(rnd, 2))
+        for i in range(100)
+    ]
     lake.apply_window(
-        make_ds([ev(101, "insert", "r", "pX", "99999", "py", "v-new")]),
+        make_ds([ev(101, "insert", "r", "pX", "99999", "py", "v-new"), *filler]),
         0, 1, force=True,
     )
     assert _state(lake)[("r", "pX")][2] == "v-new"
-    # budget sized so the two NORMAL windows (holding pX v-old) fold in
-    # one CHUNKED tier while the forced repair file stays its own
-    # single-file tier AFTER them in ledger order — the hazard shape
-    entry = lake.compact(cluster_by=["commit"], max_input_bytes=11_000)
+    # an on-disk budget no two adjacent files fit: the stalled tier
+    # folds its cheapest pair, the two NORMAL windows (holding pX
+    # v-old), into one CHUNKED run while the forced repair file stays
+    # AFTER them in ledger order — the hazard shape
+    sizes = [os.path.getsize(f) for f in lake.live_files()[0]]
+    assert sizes[2] > sizes[0]
+    entry = lake.compact(cluster_by=["commit"],
+                         max_input_bytes=int(0.8 * (sizes[0] + sizes[1])))
     [infos] = entry["parts"].values()
     assert isinstance(infos, list) and len(infos) >= 2  # fold chunked
     assert len(infos[0]["replaces"]) == 2  # ...and folded ONLY w1+w2
@@ -1932,7 +1951,290 @@ def test_clustered_chunks_preserve_tie_order(ray_session, tmp_path):
     # and the whole state survives a fresh checkpoint fold
     lake.ledger.checkpoint()
     assert _state(lake)[("r", "pX")][2] == "v-new"
-    assert len(_state(lake)) == 200
+    assert len(_state(lake)) == 200 + len(filler)
+
+
+def _codecs(path: str) -> set[str]:
+    """Codec of every column chunk of one parquet file."""
+    md = pq.ParquetFile(path).metadata
+    return {
+        md.row_group(g).column(c).compression
+        for g in range(md.num_row_groups)
+        for c in range(md.num_columns)
+    }
+
+
+def _entry_files(entry: dict) -> list[str]:
+    """Files a compact or split ledger row wrote."""
+    if entry["kind"] == "split":
+        return [i["file"] for infos in entry["parts"].values() for i in infos]
+    return [
+        one["file"]
+        for info in entry["parts"].values()
+        for one in (info if isinstance(info, list) else [info])
+    ]
+
+
+def test_every_lake_write_path_is_zstd(ray_session, tmp_path):
+    """Window deltas, full folds, tiered folds, stall-fallback folds,
+    split children and clustered chunks all go through one writer, and
+    every column chunk of every file it writes is zstd."""
+    import random
+
+    rnd = random.Random(21)
+    lake = LakeTable.create(
+        str(tmp_path / "lake"), ["repo", "path"], 1, stats_cols=["commit"]
+    )
+    seq = 0
+
+    def window(n):
+        nonlocal seq
+        rows = [
+            ev(seq + i + 1, "insert", "r", f"p{seq + i}", f"{rnd.randrange(10**6):06d}",
+               "py", _noisy(rnd))
+            for i in range(n)
+        ]
+        entry = lake.apply_window(make_ds(rows), seq, seq + n)
+        seq += n
+        return list(entry["files"].values())
+
+    def zstd(files):
+        assert files
+        for f in files:
+            assert _codecs(os.path.join(lake.dir, f)) == {"ZSTD"}, f
+
+    written = {}
+    written["window"] = [f for _ in range(4) for f in window(20)]
+    sizes = [os.path.getsize(f) for f in lake.live_files()[0]]
+    tiered = lake.compact(min_files=2, max_input_bytes=2 * max(sizes) + 1)
+    assert len(tiered["parts"]["0"]) == 2  # two tiers of two windows
+    written["tiered fold"] = _entry_files(tiered)
+    sizes = [os.path.getsize(f) for f in lake.live_files()[0]]
+    stalled = lake.compact(min_files=2, max_input_bytes=min(sizes) - 1)
+    assert stalled["parts"]["0"]["fallback"] is True
+    written["fallback fold"] = _entry_files(stalled)
+    written["window"] += window(20)
+    written["full fold"] = _entry_files(lake.compact(min_files=2))
+    split = lake.split_partition(0, factor=2)
+    written["split child"] = _entry_files(split)
+    # each half of child 0's one file is about twice this budget, so
+    # the clustered split of child 0 cuts each grandchild into chunks
+    [child_file] = lake.live_files()[0]
+    clustered = lake.split_partition(
+        0, factor=2, max_input_bytes=os.path.getsize(child_file) // 4,
+        cluster_by=["commit"],
+    )
+    chunks = _entry_files(clustered)
+    assert any("-c001" in f for f in chunks)
+    written["clustered chunk"] = chunks
+    for path, files in written.items():
+        zstd(files)
+
+
+def test_mixed_codec_lake_reads_identically_and_compacts_to_zstd(
+    ray_session, tmp_path, monkeypatch
+):
+    """Parquet records the codec per column chunk, so a lake whose first
+    windows were written snappy (by older code) reads, looks up and
+    range-scans exactly like an all-zstd twin, with the same zone-map
+    and Bloom skips; its next compaction rewrites them as zstd."""
+    import jitsu_ray.sinks.lake as lake_mod
+
+    def build(name):
+        lake = LakeTable.create(
+            str(tmp_path / name), ["repo", "path"], 4, stats_cols=["commit"]
+        )
+        for w, lo in enumerate([0, 100, 200]):
+            rows = [
+                ev(lo + i + 1, "insert", f"r{lo + i:04d}", "f.py", f"{lo + i:05d}",
+                   "py", f"body {lo + i}")
+                for i in range(100)
+            ]
+            lake.apply_window(make_ds(rows), lo, lo + 100)
+        lake.apply_window(
+            make_ds([ev(900, "insert", "r0050", "f.py", "00900", "py", "updated")]),
+            300, 901,
+        )
+        return lake
+
+    mixed, twin = build("mixed"), build("twin")
+    old = [
+        f for e in mixed.ledger.entries()[:2] if e["kind"] == "window"
+        for f in e["files"].items()
+    ]
+    assert old
+    # rewrite the first two windows through the lake writer as snappy,
+    # at the same paths: the shape of a lake written before zstd
+    monkeypatch.setattr(lake_mod, "_LAKE_PARQUET", {"compression": "snappy"})
+    for part, rel in old:
+        path = os.path.join(mixed.dir, rel)
+        lake_mod._write_lake_files(
+            pq.read_table(path), mixed.dir, int(part),
+            os.path.basename(rel)[: -len(".parquet")],
+            mixed.key_cols, mixed.key_cols + mixed.stats_cols,
+        )
+    monkeypatch.undo()
+    codecs = {
+        rel: _codecs(f)
+        for fs in mixed.live_files().values() for f in fs
+        for rel in [os.path.relpath(f, mixed.dir)]
+    }
+    assert {rel for rel, c in codecs.items() if c == {"SNAPPY"}} == {r for _, r in old}
+    assert {rel for rel, c in codecs.items() if c == {"ZSTD"}} == set(codecs) - {r for _, r in old}
+
+    def views(lake):
+        keys = [{"repo": "r0050", "path": "f.py"}, {"repo": "r0250", "path": "f.py"},
+                {"repo": "nope", "path": "f.py"}]
+        got = sorted(map(str, lake.lookup(keys).to_pylist()))
+        st = dict(lake.last_lookup_stats)
+        band = sorted(map(str, lake.scan_range("commit", "00120", "00180").take_all()))
+        return got, st, band, dict(lake.last_scan_stats)
+
+    assert _state(mixed) == _state(twin)
+    got, st, band, sst = views(mixed)
+    assert (got, st, band, sst) == views(twin)
+    assert st["files_zone_skipped"] + st["files_bloom_skipped"] > 0
+    assert sst["files_full"] < sst["files_total"]
+    entry = mixed.compact(min_files=2)
+    assert {r for _, r in old} <= {
+        f for info in entry["parts"].values() for f in info["replaces"]
+    }
+    for fs in mixed.live_files().values():
+        for f in fs:
+            assert _codecs(f) == {"ZSTD"}
+    assert _state(mixed) == _state(twin)
+
+
+def _fixed_point_lake(path: str):
+    """Two partitions, eight windows of updates and deletes over 120
+    keys with an incompressible payload."""
+    import random
+
+    rnd = random.Random(17)
+    lake = LakeTable.create(path, ["repo", "path"], 2, stats_cols=["commit"])
+    seq = 0
+    for _ in range(8):
+        rows = []
+        for _ in range(40):
+            seq += 1
+            k = rnd.randrange(120)
+            op = "delete" if rnd.random() < 0.1 else "update"
+            rows.append(ev(seq, op, f"r{k % 5}", f"p{k}",
+                           f"{rnd.randrange(10**6):06d}", "py", _noisy(rnd, 4)))
+        lake.apply_window(make_ds(rows), seq - 40, seq)
+    return lake, seq
+
+
+def _run_heads(lake) -> dict[str, str]:
+    """{file: first file of its chunk run}, from the insert_after
+    anchors the ledger records."""
+    head: dict[str, str] = {}
+    for e in lake.ledger.entries():
+        if e["kind"] == "compact":
+            infos = [o for i in e["parts"].values() for o in (i if isinstance(i, list) else [i])]
+        elif e["kind"] == "split":
+            infos = [o for i in e["parts"].values() for o in i]
+        else:
+            continue
+        for one in infos:
+            a = one.get("insert_after")
+            head[one["file"]] = head.get(a, a) if a else one["file"]
+    return head
+
+
+@pytest.mark.parametrize("tier", [None, "tiered", "stalled"])
+@pytest.mark.parametrize("cluster_by", [None, ["commit"]], ids=["plain", "clustered"])
+@pytest.mark.parametrize("split", [False, True], ids=["nosplit", "split"])
+def test_maintain_reaches_fixed_point(ray_session, tmp_path, split, cluster_by, tier):
+    """With no new windows, repeated maintain() passes reach a fixed
+    point under every option mix (split on/off, cluster_by on/off,
+    max_input_bytes None / a few windows / just over one window):
+
+    * no pass raises the live file count, except by splitting, and
+      only the first pass splits (its children land under the budget);
+    * a pass that commits nothing comes within (live files at start)
+      passes, and it writes no file;
+    * no fold takes part of a chunk run: a run is one tier unit;
+    * without a max_input_bytes budget the pass right after the first
+      commits nothing — a clustered fold or split leaves runs cut at
+      their target.
+
+    Tiered mixes may commit for several passes: tiers converge
+    geometrically, and a stalled tier folds one pair per partition per
+    pass by design."""
+    import glob as _glob
+
+    lake, seq = _fixed_point_lake(str(tmp_path / "lake"))
+    before = _state(lake)
+    live = lake.live_files()
+    n0 = sum(len(fs) for fs in live.values())
+    window = max(os.path.getsize(f) for fs in live.values() for f in fs)
+    part = max(sum(os.path.getsize(f) for f in fs) for fs in live.values())
+    max_input = {None: None, "tiered": int(2.5 * window), "stalled": int(1.5 * window)}[tier]
+    counts = [n0]
+    for i in range(n0):
+        rel = lambda fs: [os.path.relpath(f, lake.dir) for f in fs]  # noqa: E731
+        head = _run_heads(lake)
+        runs: dict[str, set] = {}
+        for fs in lake.live_files().values():
+            for f in rel(fs):
+                runs.setdefault(head.get(f, f), set()).add(f)
+        on_disk = set(_glob.glob(os.path.join(lake.dir, "part=*", "*.parquet")))
+        out = lake.maintain(
+            max_partition_bytes=int(0.7 * part) if split else None,
+            max_input_bytes=max_input, min_files=2, tombstone_watermark=seq,
+            keep_history=0, cluster_by=cluster_by,
+        )
+        n = sum(len(fs) for fs in lake.live_files().values())
+        assert not out["splits"] or i == 0
+        assert out["splits"] or n <= counts[-1]
+        replaced = {
+            f for info in out["compact"].get("parts", {}).values()
+            for one in (info if isinstance(info, list) else [info])
+            for f in one["replaces"]
+        }
+        for members in runs.values():
+            assert not members & replaced or members <= replaced
+        counts.append(n)
+        if not out["splits"] and not out["compact"].get("parts"):
+            written = set(_glob.glob(os.path.join(lake.dir, "part=*", "*.parquet")))
+            assert written == on_disk
+            break
+    else:
+        pytest.fail(f"no fixed point within {n0} passes: file counts {counts}")
+    if tier is None:
+        assert len(counts) == 3, counts  # the second pass committed nothing
+    assert _state(lake) == before
+
+
+def test_clustered_compaction_churn_stops(ray_session, tmp_path):
+    """The churn repro: one partition, six 500-event windows of
+    generated source files, then four tiered clustered compactions at
+    a 40 kB budget. Chunks are cut in the on-disk bytes tiering counts
+    and a chunk run is one tier unit, so passes 1-3 write nothing and
+    no pass raises the file count (cut in Arrow bytes, every pass
+    rewrote the same chunk files)."""
+    import ray.data
+
+    from jitsu_ray.testgen import gen_changelog
+
+    tbl = gen_changelog(n_events=17_000, n_repos=100, seed=42).slice(0, 3000)
+    lake = LakeTable.create(
+        str(tmp_path / "lake"), ["repo", "path"], 1, stats_cols=["repo"]
+    )
+    for w in range(6):
+        lake.apply_window(ray.data.from_arrow(tbl.slice(w * 500, 500)),
+                          w * 500, w * 500 + 500)
+    counts = [len(lake.live_files()[0])]
+    for i in range(4):
+        entry = lake.compact(min_files=2, cluster_by=["repo"], max_input_bytes=40_000)
+        written = sum(
+            os.path.getsize(os.path.join(lake.dir, f)) for f in _entry_files(entry)
+        ) if entry["parts"] else 0
+        if i:
+            assert written == 0
+        counts.append(len(lake.live_files()[0]))
+        assert counts[-1] <= counts[-2]
 
 
 def test_vacuum_retention_grace_window(ray_session, tmp_path):
@@ -2764,3 +3066,27 @@ def test_no_ray_remote_inside_function_bodies():
                     if is_ray_remote(node)
                 ]
     assert not found, f"ray.remote inside a function body: {found}"
+
+
+def test_lake_parquet_written_only_by_write_lake_files():
+    """``sinks/lake.py`` has exactly one parquet write call, inside
+    ``_write_lake_files``, so every lake data file gets the one codec
+    constant (``_LAKE_PARQUET``)."""
+    import ast
+    import pathlib
+
+    import jitsu_ray.sinks.lake as lake_mod
+
+    tree = ast.parse(pathlib.Path(lake_mod.__file__).read_text())
+    owner = {}
+    for fn in ast.walk(tree):
+        if isinstance(fn, (ast.FunctionDef, ast.AsyncFunctionDef)):
+            for node in ast.walk(fn):
+                owner.setdefault(id(node), fn.name)  # outermost function
+    writes = [
+        (node.lineno, owner.get(id(node)))
+        for node in ast.walk(tree)
+        if isinstance(node, ast.Attribute)
+        and node.attr in ("write_table", "ParquetWriter")
+    ]
+    assert [fn for _, fn in writes] == ["_write_lake_files"], writes
