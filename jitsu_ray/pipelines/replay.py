@@ -501,7 +501,7 @@ def bootstrap_snapshot(lake: LakeTable, ds: "ray.data.Dataset",
     empty."""
     if as_of_seq < 0:
         raise ValueError("as_of_seq must be >= 0")
-    force = as_of_seq == 0 and not lake.ledger.entries()
+    force = as_of_seq == 0 and lake.ledger.max_seq() == 0
     committed = lake.last_committed_hi()
     if not force and committed >= max(as_of_seq, 1):
         return {"kind": "window", "lo": as_of_seq - 1, "hi": as_of_seq,

@@ -312,12 +312,10 @@ def _src_has_late_window(src, src_floor: int, frm: int) -> bool:
     """A source window committed AFTER the previous round's scan whose
     hi lands at-or-below the replica watermark — invisible to every
     future incremental diff (both as-of states already contain it)."""
-    for e in src.ledger.iter_entries_desc():
-        if e["_seq"] <= src_floor:
-            break
-        if e["kind"] == "window" and int(e["hi"]) <= frm:
-            return True
-    return False
+    return any(
+        e["kind"] == "window" and int(e["hi"]) <= frm
+        for e in src.ledger.iter_entries_desc(above=src_floor)
+    )
 
 
 def replicate(

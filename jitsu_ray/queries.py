@@ -2359,7 +2359,7 @@ def q_time_travel(sf_dir: str):
     every 'click' in a later window, then read the table AS OF the
     commit point BEFORE the delete — the pre-delete state must come back
     exactly (sinks/lake.read(as_of=...); ledger-replay file selection in
-    state/ledger.live_files)."""
+    state/ledger.LedgerState)."""
     from .sinks.lake import LakeTable
 
     def prep(batch: pa.Table) -> pa.Table:

@@ -67,7 +67,7 @@ import ray
 import ray.data
 
 from ..schema.reconciler import LakeSchema, observed_payload
-from ..state.ledger import Ledger
+from ..state.ledger import Ledger, LedgerState
 from ..types import DataType, from_arrow, to_arrow
 from ..util import (
     HASH_ALGO,
@@ -257,6 +257,13 @@ def _drop_old_tombstones(tbl: pa.Table, watermark: int) -> pa.Table:
 # Parquet records the codec per column chunk, so a lake mixing older
 # snappy files with zstd ones reads as it is.
 _LAKE_PARQUET = {"compression": "zstd", "compression_level": 1}
+
+# maintain() splits a partition into ceil(bytes * headroom / budget)
+# children: small zstd children compress worse than their parent and
+# hashing spreads keys unevenly, so without headroom some land over the
+# budget and the next pass splits them again. 1.5 was fitted on one
+# lake; the penalty is unbounded, so it is a margin, not a guarantee.
+_SPLIT_HEADROOM = 1.5
 
 
 def _write_lake_files(
@@ -596,8 +603,10 @@ class LakeTable:
         # exchange routing: "shared" hands every merger the same block
         # ref (plasma reads are zero-copy when the pool is co-located on
         # one node); "split" pre-slices each block per merger group so
-        # cross-node traffic = owned bytes. "auto" picks by topology.
+        # cross-node traffic = owned bytes. "auto" picks by topology,
+        # resolved once per merger pool (_merger_pool).
         self.exchange_mode: str = "auto"
+        self._auto_exchange = "shared"
 
     def _merger_pool(self, active: list[int]) -> list:
         """Merger actors, created once per LakeTable instance and reused
@@ -605,7 +614,10 @@ class LakeTable:
         window's finish) — rebuilt when a partition SPLIT changed the
         active id set (a stale pool would still claim the split parent
         and no one would own the children). Pool size =
-        min(active partitions, cluster CPUs / 2)."""
+        min(active partitions, cluster CPUs / 2). The "auto" exchange
+        mode is resolved here too, once per pool, not per window (a GCS
+        round trip): both modes are correct, so a mode gone stale after
+        the cluster changed only costs speed."""
         if self._mergers is not None and self._merger_parts != tuple(active):
             for h in self._mergers:
                 try:
@@ -636,6 +648,8 @@ class LakeTable:
                 for a in range(m)
             ]
             self._merger_parts = tuple(active)
+            alive = [n for n in ray.nodes() if n.get("Alive", False)]
+            self._auto_exchange = "shared" if len(alive) <= 1 else "split"
         return self._mergers
 
     # -- lifecycle ----------------------------------------------------------
@@ -831,7 +845,8 @@ class LakeTable:
         (a re-apply of the SAME content just adds an equal-content file
         the LWW fold resolves identically).
         """
-        if not force and hi <= self.ledger.last_committed_hi():
+        st = self.ledger.state()
+        if not force and hi <= st.hi:
             # Idempotent replay: window already committed (M8 / D3 analog —
             # the "already uploaded" skip, logfiles/uploader.go:103-109).
             return {"kind": "window", "lo": lo, "hi": hi, "skipped": True}
@@ -854,8 +869,8 @@ class LakeTable:
         # committed since the last window must re-route THIS window's
         # rows (splits are maintenance ops — they must not interleave
         # with a concurrently-applying window, same contract as compact
-        # + the topology break rule in Ledger.live_files)
-        splits = self.ledger.splits()
+        # + the topology break rule in LedgerState)
+        splits = list(st.splits)
         window_tag = f"{lo:012d}-{hi:012d}"
         if force:
             # A forced window may share (lo, hi] with a DIFFERENT
@@ -883,7 +898,7 @@ class LakeTable:
             import uuid as _uuid
 
             window_tag = (
-                f"{window_tag}-f{self.ledger.max_seq()}-{_uuid.uuid4().hex[:8]}"
+                f"{window_tag}-f{st.seq}-{_uuid.uuid4().hex[:8]}"
             )
 
         handles = self._merger_pool(sorted(active_moduli(num_parts, splits)))
@@ -904,10 +919,7 @@ class LakeTable:
         # receives ONLY its slice, so network bytes = owned bytes (round
         # 1 shipped every block to every merger: window x pool bytes).
         # The in-flight ack cap backpressures the read either way.
-        mode = self.exchange_mode
-        if mode == "auto":
-            alive = [n for n in ray.nodes() if n.get("Alive", False)]
-            mode = "shared" if len(alive) <= 1 else "split"
+        mode = self._auto_exchange if self.exchange_mode == "auto" else self.exchange_mode
         acks: list = []
         max_in_flight = 8 * pool
         try:
@@ -986,16 +998,18 @@ class LakeTable:
 
     # -- read path ----------------------------------------------------------
 
-    def live_files(
-        self, as_of: int | None = None, entries: list[dict] | None = None
-    ) -> dict[int, list[str]]:
-        return {
-            p: [os.path.join(self.dir, f) for f in fs]
-            for p, fs in self.ledger.live_files(
-                as_of_hi=as_of, entries=entries
-            ).items()
-            if fs
-        }
+    def live_files(self, as_of: int | None = None) -> dict[int, list[str]]:
+        return self._live_paths(self.ledger.state(as_of))
+
+    def _live_paths(self, st: LedgerState, tag: str | None = None) -> dict[int, list[str]]:
+        """{partition: [absolute file paths]} of one ledger state. With a
+        ``tag`` (a time-travel read) every file must still exist, else
+        the error names the vacuum row that removed it."""
+        live = {p: [os.path.join(self.dir, f) for f in fs] for p, fs in st.parts.items()}
+        missing = tag and [f for fs in live.values() for f in fs if not os.path.exists(f)]
+        if missing:
+            raise self._missing_files_error(tag, missing)
+        return live
 
     def max_row_seq(self) -> int:
         """Max ROW-level commit_seq across live files (tombstones
@@ -1031,16 +1045,13 @@ class LakeTable:
         columns plus the key/seq/op system columns leave storage.
 
         ``as_of``: TIME TRAVEL — the state as of the ledger commit whose
-        window ``hi`` <= as_of (windows above it excluded via ledger
-        replay, state/ledger.live_files). Valid until a later compaction
-        vacuumed the requested history (raises then, with the missing
-        files named); window files carry only their own (lo, hi] seqs,
-        so no row-level seq filter is needed."""
-        live = self.live_files(as_of=as_of)
-        if as_of is not None:
-            missing = [f for fs in live.values() for f in fs if not os.path.exists(f)]
-            if missing:
-                raise self._missing_files_error(f"time-travel as_of={as_of}", missing)
+        window ``hi`` <= as_of (windows above it excluded by the bounded
+        ledger replay, state/ledger.LedgerState). Valid until a later
+        compaction vacuumed the requested history (raises then, with the
+        missing files named); window files carry only their own (lo, hi]
+        seqs, so no row-level seq filter is needed."""
+        tag = None if as_of is None else f"time-travel as_of={as_of}"
+        live = self._live_paths(self.ledger.state(as_of), tag)
         target = self.full_arrow_schema()
         out_cols = [
             f.name for f in target if f.name not in (PART_COL, OP_COL)
@@ -1089,9 +1100,9 @@ class LakeTable:
         Files with no recorded bounds for ``col`` are read in full
         (never pruned). ``self.last_scan_stats`` records files_full /
         files_narrow for observability and tests."""
-        ents = self.ledger.entries()
-        live = self.live_files(entries=ents)
-        stats = self._file_key_stats(entries=ents)
+        st = self.ledger.state()
+        live = self._live_paths(st)
+        stats = st.zones
         target = self.full_arrow_schema()
         out_cols = [f.name for f in target if f.name not in (PART_COL, OP_COL)]
         if columns:
@@ -1164,29 +1175,6 @@ class LakeTable:
             load_partition, batch_size=1, batch_format="pyarrow"
         )
 
-    def _file_key_stats(self, entries: list[dict] | None = None) -> dict[str, dict]:
-        """{relative file path: per-key-col zone map} from one ledger
-        scan. Files committed before zone maps existed simply have no
-        entry (never pruned)."""
-        stats: dict[str, dict] = {}
-        for e in self.ledger.entries() if entries is None else entries:
-            if e["kind"] == "window":
-                ks = e.get("key_stats", {})
-                for p, f in e["files"].items():
-                    if p in ks:
-                        stats[f] = ks[p]
-            elif e["kind"] == "compact":
-                for info in e["parts"].values():
-                    for one in info if isinstance(info, list) else [info]:
-                        if one.get("file") and one.get("key_stats"):
-                            stats[one["file"]] = one["key_stats"]
-            elif e["kind"] == "split":
-                for infos in e["parts"].values():
-                    for one in infos:
-                        if one.get("file") and one.get("key_stats"):
-                            stats[one["file"]] = one["key_stats"]
-        return stats
-
     def _missing_files_error(self, tag: str, missing: list[str]) -> FileNotFoundError:
         """Build the precise time-travel error: name the ledger VACUUM
         row (if any) that removed the needed files. Without one, the
@@ -1257,18 +1245,13 @@ class LakeTable:
         keys = pa.table(
             {c: pc.cast(keys[c], target.field(c).type) for c in self.key_cols}
         )
-        ents = self.ledger.entries()  # ONE ledger scan feeds all three views
-        parts = hash_route_column(
-            keys, self.key_cols, self.num_partitions,
-            self.ledger.splits(entries=ents, as_of_hi=as_of),
-        )
+        st = self.ledger.state(as_of)  # ONE state feeds all three views
+        parts = hash_route_column(keys, self.key_cols, self.num_partitions, st.splits)
         parts_np = parts.to_numpy(zero_copy_only=False)
-        live = self.live_files(as_of=as_of, entries=ents)
-        if as_of is not None:
-            missing = [f for fs in live.values() for f in fs if not os.path.exists(f)]
-            if missing:
-                raise self._missing_files_error(f"time-travel as_of={as_of}", missing)
-        stats = self._file_key_stats(entries=ents)
+        live = self._live_paths(
+            st, None if as_of is None else f"time-travel as_of={as_of}"
+        )
+        stats = st.zones
         phys_cols = sorted({OP_COL, SEQ_COL, *self.key_cols, *out_cols})
         key_cols = self.key_cols
 
@@ -1351,14 +1334,9 @@ class LakeTable:
             raise ValueError(f"diff needs seq_a <= seq_b, got {seq_a} > {seq_b}")
         import polars as pl
 
-        live_a = self.live_files(as_of=seq_a)
-        live_b = self.live_files(as_of=seq_b)
-        for tag, live in (("seq_a", live_a), ("seq_b", live_b)):
-            missing = [
-                f for fs in live.values() for f in fs if not os.path.exists(f)
-            ]
-            if missing:
-                raise self._missing_files_error(f"diff at {tag}", missing)
+        st_a, st_b = self.ledger.state(seq_a), self.ledger.state(seq_b)
+        live_a = self._live_paths(st_a, "diff at seq_a")
+        live_b = self._live_paths(st_b, "diff at seq_b")
         target = self.full_arrow_schema()
         key_cols = self.key_cols
         out_cols = [
@@ -1397,9 +1375,7 @@ class LakeTable:
             + old_fields
             + [pa.field("change", pa.string())]
         )
-        ents = self.ledger.entries()
-        splits_a = self.ledger.splits(entries=ents, as_of_hi=seq_a)
-        splits_b = self.ledger.splits(entries=ents, as_of_hi=seq_b)
+        splits_a, splits_b = st_a.splits, st_b.splits
         base = self.num_partitions
         if splits_a == splits_b:
             parts = sorted(set(live_a) | set(live_b))
@@ -1645,8 +1621,9 @@ class LakeTable:
         self._check_cluster_by(cluster_by)
         target = self.full_arrow_schema()
         layout = self._layout(cluster_by, max_input_bytes)
-        gen = self.ledger.next_seq()
-        todo = {p: _chunk_runs(fs) for p, fs in self.live_files().items()}
+        st = self.ledger.state()
+        gen = st.seq + 1
+        todo = {p: _chunk_runs(fs) for p, fs in self._live_paths(st).items()}
         todo = {p: units for p, units in todo.items() if len(units) >= min_files}
         if not todo:
             return {"kind": "compact", "parts": {}}
@@ -1772,8 +1749,8 @@ class LakeTable:
         if factor < 2:
             raise ValueError("factor must be >= 2")
         self._check_cluster_by(cluster_by)
-        splits = self.ledger.splits()
-        act = active_moduli(self.num_partitions, splits)
+        st = self.ledger.state()
+        act = active_moduli(self.num_partitions, st.splits)
         if part not in act:
             raise ValueError(
                 f"partition {part} is not an active partition "
@@ -1781,10 +1758,10 @@ class LakeTable:
             )
         modulus = act[part]
         children = [part + j * modulus for j in range(factor)]
-        live = self.live_files().get(part, [])
+        live = self._live_paths(st).get(part, [])
         target = self.full_arrow_schema()
         layout = self._layout(cluster_by, max_input_bytes)
-        gen = self.ledger.next_seq()
+        gen = st.seq + 1
 
         groups = (
             [[f] for f in live]  # default: one routing task per file
@@ -1857,9 +1834,12 @@ class LakeTable:
         of source-code text before it splits than it did as snappy:
 
         1. SPLIT every active partition whose live bytes exceed
-           ``max_partition_bytes`` (factor = ceil(bytes / budget),
-           clamped to ``max_split_factor``, so each child lands near or
-           under the budget in one pass). The split routes AND folds:
+           ``max_partition_bytes`` (factor = ceil(bytes *
+           ``_SPLIT_HEADROOM`` / budget), clamped to
+           ``max_split_factor``, so children usually land under the
+           budget in one pass and the next identical pass splits
+           nothing; a child the headroom misses is split again). The
+           split routes AND folds:
            each child is written once, LWW-resolved, under
            ``max_input_bytes``, with this pass's
            ``tombstone_watermark`` and ``cluster_by`` — so a child whose
@@ -1879,16 +1859,17 @@ class LakeTable:
         window applier)."""
         splits_done = []
         if max_partition_bytes is not None:
+            st = self.ledger.state()
             sizes = {
                 p: sum(os.path.getsize(f) for f in fs)
-                for p, fs in self.live_files().items()
+                for p, fs in self._live_paths(st).items()
             }
-            act = active_moduli(self.num_partitions, self.ledger.splits())
+            act = active_moduli(self.num_partitions, st.splits)
             for p, nbytes in sorted(sizes.items()):
                 if p in act and nbytes > max_partition_bytes:
                     factor = min(
                         max_split_factor,
-                        max(2, -(-nbytes // max_partition_bytes)),
+                        max(2, math.ceil(nbytes * _SPLIT_HEADROOM / max_partition_bytes)),
                     )
                     splits_done.append(
                         self.split_partition(
@@ -1925,49 +1906,31 @@ class LakeTable:
         vacuum row commits BEFORE any unlink, so a crash mid-delete
         leaves recorded-but-present files that the next vacuum sweeps.
         Returns the committed entry plus {"removed": n} counts."""
-        ents = self.ledger.entries()
-        cutoff = max((e["_seq"] for e in ents), default=0) - keep_history
-        live = {
-            f for fs in self.ledger.live_files(entries=ents).values() for f in fs
-        }
-        already: set[str] = set()
-        dead: list[str] = []
-        for e in ents:
-            if e["kind"] == "vacuum":
-                already.update(e.get("removed", []))
-            elif e["_seq"] > cutoff:
-                continue
-            elif e["kind"] == "compact":
-                for info in e["parts"].values():
-                    for one in info if isinstance(info, list) else [info]:
-                        dead.extend(one["replaces"])
-            elif e["kind"] == "split":
-                dead.extend(e["replaces"])
-        remove = [f for f in dict.fromkeys(dead) if f not in live and f not in already]
+        st = self.ledger.state()
+        cutoff = st.seq - keep_history
+        remove = [f for f, s in st.pending.items() if s <= cutoff and f not in st.live]
+        # stragglers: files the newest vacuum row named that STILL EXIST
+        # (a crash between that row and its unlinks); this pass's row
+        # names them again, so the state keeps one pass's names only.
+        stragglers = [
+            f
+            for f in st.vacuumed
+            # either path counts: a crash between the parquet unlink and
+            # the sidecar unlink must not orphan the .bloom.npz forever
+            if f not in st.live
+            and (os.path.exists(os.path.join(self.dir, f))
+                 or os.path.exists(os.path.join(self.dir, f + ".bloom.npz")))
+        ]
         entry = {
             "kind": "vacuum",
-            "removed": remove,
+            "removed": [*remove, *stragglers],
             "through_seq": cutoff,
             "keep_history": keep_history,
         }
         if remove:
             self.ledger.append(entry)
         removed_now = 0
-        # sweep this pass's files, plus earlier-recorded stragglers that
-        # STILL EXIST (a crash between a vacuum row and its unlinks).
-        # The exists() filter matters on long-running lakes: `already`
-        # is the union of every historical vacuum row, and issuing two
-        # failing unlinks per long-gone file per maintenance pass would
-        # grow per-pass cost with lake age instead of with actual work.
-        stragglers = [
-            f
-            for f in already
-            # either path counts: a crash between the parquet unlink and
-            # the sidecar unlink must not orphan the .bloom.npz forever
-            if os.path.exists(os.path.join(self.dir, f))
-            or os.path.exists(os.path.join(self.dir, f + ".bloom.npz"))
-        ]
-        for f in [*remove, *stragglers]:
+        for f in entry["removed"]:
             for path in (f, f + ".bloom.npz"):
                 try:
                     os.unlink(os.path.join(self.dir, path))

@@ -1,6 +1,7 @@
 """Jitsu-analog lake scenarios (FIXTURES.md F3): dedup, out-of-order LWW,
 tombstones + resurrection, resume/idempotent replay, skew spreading."""
 
+import contextlib
 import os
 
 import pyarrow as pa
@@ -454,6 +455,146 @@ def test_ledger_append_concurrent_writers(tmp_path):
     )
 
 
+@pytest.mark.parametrize("seed", range(6))
+def test_ledger_two_instances_cursor_equals_full_replay(tmp_path, seed):
+    """Two Ledger instances on one directory (two writer processes'
+    analog) interleave window, compact, split, vacuum and checkpoint
+    rows. An instance often commits with a stale cursor, so its claim
+    collides and it must advance over the other's rows first; after
+    every row, each instance's incrementally advanced state, and a fresh
+    reader's (which starts from the newest checkpoint), equal a full
+    replay of the history."""
+    import random
+
+    from jitsu_ray.sinks.lake import active_moduli
+    from jitsu_ray.state.ledger import Ledger
+
+    d = str(tmp_path / "ledger")
+    rnd = random.Random(seed)
+
+    def active(st):
+        return active_moduli(3, st.splits)
+
+    leds = [Ledger(d), Ledger(d)]
+    n = 0
+
+    def new_file(p):
+        nonlocal n
+        n += 1
+        return f"part={p:05d}/f{n}.parquet"
+
+    def zone():
+        lo = rnd.randint(0, 100)
+        return {"k": [lo, lo + rnd.randint(0, 50)]}
+
+    for step in range(60):
+        led = rnd.choice(leds)
+        act = rnd.choice(["window"] * 4 + ["compact", "split", "vacuum", "checkpoint"])
+        if act == "window":
+            # built from the possibly stale cursor: the claim may collide
+            act_parts = sorted(active(led._state))
+            ps = rnd.sample(act_parts, rnd.randint(1, len(act_parts)))
+            files = {str(p): new_file(p) for p in ps}
+            led.append({"kind": "window", "lo": step, "hi": step + 1, "files": files,
+                        "key_stats": {p: zone() for p in files}})
+        elif act == "compact":
+            st = led.state()
+            parts = {}
+            for p, fs in st.parts.items():
+                if len(fs) >= 2:
+                    k = rnd.randint(2, len(fs))
+                    parts[str(p)] = [{"file": new_file(p), "replaces": fs[:k],
+                                      "key_stats": zone()}]
+            led.append({"kind": "compact", "parts": parts})
+        elif act == "split":
+            st = led.state()
+            moduli = active(st)
+            parent = rnd.choice(sorted(moduli))
+            m = moduli[parent]
+            kids = [parent + j * m for j in range(2)]
+            led.append({"kind": "split", "parent": parent, "modulus": m, "factor": 2,
+                        "children": kids, "replaces": list(st.parts.get(parent, [])),
+                        "parts": {str(c): [{"file": new_file(c), "key_stats": zone()}]
+                                  for c in kids}})
+        elif act == "vacuum":
+            st = led.state()
+            gone = [f for f, s in st.pending.items() if s <= st.seq - rnd.randint(0, 3)]
+            if gone:
+                led.append({"kind": "vacuum", "removed": gone})
+        else:
+            led.checkpoint()
+        # the idle instance is checked (and so advanced) only sometimes,
+        # so it often acts on a stale cursor
+        full = _views(_full_replay(d))
+        for other in (led, Ledger(d), *([leds[0], leds[1]] if rnd.random() < 0.3 else [])):
+            assert _views(other.state()) == full, (seed, step, act)
+    for led in leds:
+        assert _views(led.state()) == _views(_full_replay(d))
+    ents = Ledger(d).entries()
+    assert {e["kind"] for e in ents} == {"window", "compact", "split", "vacuum", "checkpoint"}
+    assert [e["_seq"] for e in ents] == list(range(1, len(ents) + 1))  # no gaps
+
+
+def test_ledger_concurrent_writers_with_checkpoints(tmp_path):
+    """Threads with their own Ledger instance append windows and
+    checkpoints concurrently: seqs stay gap-free, and no checkpoint
+    hides a concurrently committed row (a fresh reader starting from
+    the newest checkpoint equals a full replay)."""
+    from concurrent.futures import ThreadPoolExecutor
+
+    from jitsu_ray.state.ledger import Ledger
+
+    d = str(tmp_path / "ledger")
+
+    def writer(tag):
+        led = Ledger(d)
+        for i in range(20):
+            led.append({"kind": "window", "lo": i, "hi": i + 1,
+                        "files": {str(tag): f"part={tag:05d}/w{tag}-{i}.parquet"}})
+            if i % 5 == 4:
+                led.checkpoint()
+        return led
+
+    with ThreadPoolExecutor(4) as ex:
+        leds = list(ex.map(writer, range(4)))
+    ents = Ledger(d).entries()
+    assert [e["_seq"] for e in ents] == list(range(1, len(ents) + 1))
+    assert sum(e["kind"] == "window" for e in ents) == 80
+    full = _full_replay(d)
+    assert sum(len(fs) for fs in full.parts.values()) == 80
+    for led in (*leds, Ledger(d)):
+        assert _views(led.state()) == _views(full)
+
+
+def test_ledger_reads_are_o_new_rows(ray_session, tmp_path):
+    """The control plane does not grow with the lake's age: on a lake of
+    40 windows with no maintenance, each further apply_window parses at
+    most 2 ledger rows, and a lookup on a freshly reopened lake parses
+    only the rows since the newest checkpoint, plus the checkpoint."""
+    from jitsu_ray.state.ledger import Ledger
+
+    lake = new_lake(tmp_path, parts=2)
+
+    def window(i):
+        return make_ds([ev(i + 1, "insert", f"r{i % 7}", f"p{i}", "c", "py", f"v{i}")])
+
+    for i in range(40):
+        lake.apply_window(window(i), i, i + 1)
+    for i in range(40, 43):
+        with _count_rows_parsed() as parsed:
+            lake.apply_window(window(i), i, i + 1)
+        assert sum(parsed) <= 2, parsed
+    assert lake.ledger.checkpoint() == 44
+    for i in range(43, 45):
+        lake.apply_window(window(i), i, i + 1)
+    ents = Ledger(lake.ledger.dir).entries()
+    assert [e["kind"] for e in ents].count("checkpoint") == 1
+    with _count_rows_parsed() as parsed:
+        got = LakeTable.open(lake.dir).lookup([{"repo": "r0", "path": "p42"}])
+    assert got.num_rows == 1 and got["content"][0].as_py() == "v42"
+    assert sum(parsed) <= len(ents) - 44 + 1, parsed
+
+
 def test_concurrent_apply_window_two_writers(ray_session, tmp_path):
     # two driver-side writers (separate LakeTable instances on one lake
     # dir) applying different windows concurrently: both ledger rows
@@ -730,6 +871,8 @@ def test_lookup_bloom_prunes_when_zone_maps_cannot(ray_session, tmp_path):
             e = json.load(open(p))
             e.pop("key_stats", None)
             json.dump(e, open(p, "w"))
+    # rows rewritten under a live instance: a fresh reader replays them
+    lake = LakeTable.open(lake.dir)
     got = lake.lookup([{"repo": "r0250", "path": "f.py"}])
     assert got.num_rows == 1 and got["content"][0].as_py() == "body 250"
     st = lake.last_lookup_stats
@@ -753,6 +896,8 @@ def test_lookup_missing_bloom_sidecar_reads_file(ray_session, tmp_path):
             e = json.load(open(p))
             e.pop("key_stats", None)
             json.dump(e, open(p, "w"))
+    # rows rewritten under a live instance: a fresh reader replays them
+    lake = LakeTable.open(lake.dir)
     got = lake.lookup([{"repo": "r0150", "path": "f.py"}])
     assert got.num_rows == 1 and got["content"][0].as_py() == "body 150"
     st = lake.last_lookup_stats
@@ -804,6 +949,44 @@ def test_lookup_corrupt_bloom_sidecar_fails_open(ray_session, tmp_path):
     assert lake.last_lookup_stats["files_bloom_skipped"] == 0
 
 
+def _full_replay(ledger_dir):
+    """The ledger state replayed over its whole history through the
+    same fold, checkpoint rows ignored (an unreachable time-travel bound
+    excludes nothing and trusts no checkpoint)."""
+    from jitsu_ray.state.ledger import Ledger
+
+    return Ledger(ledger_dir).state(as_of_hi=2**62)
+
+
+def _views(st):
+    """Every view a LedgerState serves, read off its fields (not its
+    checkpoint serialization, which is under test too)."""
+    return {"parts": st.parts, "splits": st.splits, "hi": st.hi, "zones": st.zones,
+            "pending": st.pending, "vacuumed": st.vacuumed}
+
+
+@contextlib.contextmanager
+def _count_rows_parsed():
+    """Rows yielded by every ``Ledger.iter_entries_desc`` call made
+    inside the block, one list item per call."""
+    from jitsu_ray.state.ledger import Ledger
+
+    real = Ledger.iter_entries_desc
+    counts: list[int] = []
+
+    def counting(self, *args, **kwargs):
+        counts.append(0)
+        for e in real(self, *args, **kwargs):
+            counts[-1] += 1
+            yield e
+
+    Ledger.iter_entries_desc = counting
+    try:
+        yield counts
+    finally:
+        Ledger.iter_entries_desc = real
+
+
 def test_ledger_checkpoint_fast_path_equals_full_replay(tmp_path):
     """checkpoint(): the tail-seeded unbounded view must equal a full
     replay — before and after post-checkpoint rows — and be idempotent
@@ -822,21 +1005,25 @@ def test_ledger_checkpoint_fast_path_equals_full_replay(tmp_path):
             "replaces": ["part=00000/delta-0.parquet", "part=00000/delta-1.parquet"],
         }}}
     )
-    full = led.live_files(entries=led.entries())
+    full = _views(_full_replay(led.dir))
     seq = led.checkpoint()
     assert seq == 6
     assert led.checkpoint() is None  # idempotent: tail already folded
-    # fast path (reads back from the checkpoint only) == full replay
-    assert led.live_files() == full
-    assert led.last_committed_hi() == 4
-    assert len(led._tail_entries()) == 1  # just the checkpoint
+    # a fresh reader loads the checkpoint row only, and equals a full
+    # replay that ignores checkpoints
+    fresh = Ledger(led.dir)
+    with _count_rows_parsed() as parsed:
+        assert _views(fresh.state()) == full
+    assert parsed == [1]  # just the checkpoint
+    assert fresh.last_committed_hi() == 4
 
     # rows after the checkpoint keep accumulating on top of it
     led.append(
         {"kind": "window", "lo": 4, "hi": 5,
          "files": {"0": "part=00000/delta-4.parquet", "3": "part=00003/delta-4.parquet"}}
     )
-    assert led.live_files() == led.live_files(entries=led.entries())
+    assert _views(led.state()) == _views(_full_replay(led.dir))
+    assert _views(fresh.state()) == _views(_full_replay(led.dir))
     assert led.last_committed_hi() == 5
     assert "part=00003/delta-4.parquet" in led.live_files()[3]
 
@@ -867,32 +1054,34 @@ def test_ledger_checkpoint_exact_seq_claim(tmp_path):
     with _pytest.raises(FileExistsError):
         led._append_at({"kind": "checkpoint", "hi": 0, "parts": {}}, 1)
 
-    # simulate a concurrent commit landing between fold and claim: the
-    # first fold's target seq is taken, checkpoint retries and the
-    # final row must include the late window
-    real_entries = led.entries
+    # simulate a concurrent commit landing between the state read and
+    # the claim: another writer takes the first target seq, checkpoint
+    # retries and the final row must include the late window
+    real_state = led.state
 
     class Racer:
         def __init__(self):
             self.fired = False
 
         def __call__(self):
-            ents = real_entries()
+            st = real_state()
             if not self.fired:
                 self.fired = True
-                led.append(
+                Ledger(led.dir).append(
                     {"kind": "window", "lo": 1, "hi": 2, "files": {"0": "late.parquet"}}
                 )
-            return ents
+            return st
 
-    led.entries = Racer()
+    led.state = Racer()
     try:
         seq = led.checkpoint()
     finally:
-        led.entries = real_entries
-    assert seq is not None
+        led.state = real_state
+    assert seq == 3
     assert led.live_files() == {0: ["a.parquet", "late.parquet"]}
     assert led.last_committed_hi() == 2
+    # the checkpoint row itself carries the late window
+    assert Ledger(led.dir).live_files() == {0: ["a.parquet", "late.parquet"]}
 
 
 def test_lake_compact_checkpoints_and_stays_readable(ray_session, tmp_path):
@@ -1661,7 +1850,9 @@ def test_maintain_split_writes_each_child_once(ray_session, tmp_path):
         lake.apply_window(make_ds(rows), seq - 60, seq)
     before = _state(lake)
     total = sum(os.path.getsize(f) for f in lake.live_files()[0])
-    budget = total // 2 + 1  # factor 2; each child's input fits one run
+    # factor = ceil(1.5 * total / budget) = 2 (the split headroom); each
+    # child's input fits one run
+    budget = total * 3 // 4 + 1
     out = lake.maintain(max_partition_bytes=budget, min_files=2)
     [split] = out["splits"]
     assert split["factor"] == 2 and split["children"] == [0, 1]
@@ -1945,13 +2136,21 @@ def test_clustered_chunks_preserve_tie_order(ray_session, tmp_path):
     for i in list(stripped["parts"].values())[0]:
         i.pop("insert_after", None)
     _json.dump(stripped, open(row_path, "w"))
-    assert _state(lake)[("r", "pX")][2] == "v-old"  # bug reproduced
+    # a fresh reader replays the rewritten row (the live instance
+    # already applied the original)
+    assert _state(LakeTable.open(lake.dir))[("r", "pX")][2] == "v-old"  # bug reproduced
     _json.dump(raw, open(row_path, "w"))  # restore
-    assert _state(lake)[("r", "pX")][2] == "v-new"
-    # and the whole state survives a fresh checkpoint fold
-    lake.ledger.checkpoint()
-    assert _state(lake)[("r", "pX")][2] == "v-new"
-    assert len(_state(lake)) == 200 + len(filler)
+    restored = LakeTable.open(lake.dir)
+    assert _state(restored)[("r", "pX")][2] == "v-new"
+    # and the whole state survives a fresh checkpoint fold: the restored
+    # reader checkpoints the replayed order, and another fresh reader
+    # loads it from that row
+    assert restored.ledger.checkpoint() is not None
+    reread = LakeTable.open(lake.dir)
+    with _count_rows_parsed() as parsed:
+        assert _state(reread)[("r", "pX")][2] == "v-new"
+    assert sum(parsed) == 1  # the checkpoint row alone
+    assert len(_state(reread)) == 200 + len(filler)
 
 
 def _codecs(path: str) -> set[str]:
@@ -2263,6 +2462,73 @@ def test_vacuum_retention_grace_window(ray_session, tmp_path):
     assert len(lake.read().take_all()) == 3
 
 
+def test_vacuum_sweeps_stragglers_and_keeps_one_pass_of_names(ray_session, tmp_path):
+    """A crash between a vacuum row and its unlinks leaves files the row
+    named on disk. The next pass names them again in its own row and
+    unlinks them, or, with nothing new to remove, unlinks them without
+    a row. The ledger state (and so every checkpoint) keeps only the
+    newest vacuum row's names, not every file ever vacuumed."""
+    import shutil
+
+    from jitsu_ray.state.ledger import Ledger
+
+    lake = LakeTable.create(str(tmp_path / "lake"), ["repo", "path"], 1)
+
+    def windows(lo, hi):
+        for w in range(lo, hi):
+            lake.apply_window(
+                make_ds([ev(w + 1, "insert", "r", f"p{w}", "c", "py", f"v{w}")]),
+                w, w + 1,
+            )
+
+    def on_disk(rel):
+        return [p for p in (rel, rel + ".bloom.npz")
+                if os.path.exists(os.path.join(lake.dir, p))]
+
+    windows(0, 3)
+    lake.compact()
+    first = sorted(lake.ledger.state().pending)
+    assert len(first) == 3
+    backup = tmp_path / "backup"
+    backup.mkdir()
+    saved = [p for f in first for p in on_disk(f)]
+    for p in saved:
+        shutil.copy(os.path.join(lake.dir, p), backup / p.replace("/", "__"))
+    assert sorted(lake.vacuum(keep_history=0)["removed"]) == first
+    assert not [p for f in first for p in on_disk(f)]
+    # the crash: the row committed, the unlinks never happened
+    for p in saved:
+        shutil.copy(backup / p.replace("/", "__"), os.path.join(lake.dir, p))
+
+    windows(3, 5)
+    lake.compact()
+    second = sorted(lake.ledger.state().pending)
+    out = lake.vacuum(keep_history=0)
+    assert sorted(out["removed"]) == sorted(second + first)
+    assert not [p for f in second + first for p in on_disk(f)]
+    assert lake.ledger.state().vacuumed == set(second + first)
+    # after a clean pass, the next row names that pass's files only
+    windows(5, 7)
+    lake.compact()
+    third = sorted(lake.ledger.state().pending)
+    late = on_disk(third[0])[0]
+    shutil.copy(os.path.join(lake.dir, late), backup / "late")
+    assert sorted(lake.vacuum(keep_history=0)["removed"]) == third
+    assert lake.ledger.state().vacuumed == set(third)
+    # a straggler found by a pass with nothing new to remove: unlinked,
+    # and no row written
+    shutil.copy(backup / "late", os.path.join(lake.dir, late))
+    seq = lake.ledger.max_seq()
+    assert lake.vacuum(keep_history=0)["removed_now"] == 1
+    assert lake.ledger.max_seq() == seq and not on_disk(third[0])
+    # checkpoints carry one pass of names, and the fold agrees
+    lake.ledger.checkpoint()
+    [ck] = [e for e in Ledger(lake.ledger.dir).entries() if e["kind"] == "checkpoint"][-1:]
+    assert sorted(ck["vacuumed"]) == third
+    assert _views(Ledger(lake.ledger.dir).state()) == _views(_full_replay(lake.ledger.dir))
+    assert len(lake.read().take_all()) == 7
+
+
 def test_lake_random_interleaving_matches_oracle(ray_session, tmp_path):
     """Property for the CORE lake: under any interleaving of normal
     windows, late force-committed windows (old bounds, old/tied seqs),
@@ -2271,7 +2537,9 @@ def test_lake_random_interleaving_matches_oracle(ray_session, tmp_path):
     retention passes, the resolved state always equals a pure-Python
     LWW fold with the lake's tie rule (higher commit_seq wins; equal
     seqs -> later-arrived row wins), lookup routes every key to its
-    refined partition, and time travel at any committed hi equals the
+    refined partition, the ledger state advanced incrementally (and a
+    fresh reader's) equals a full replay, and time travel at any
+    committed hi equals the
     fold over the bounded ledger replay — including the TOPOLOGY BREAK
     rule (a split after the first excluded window ends the bounded
     view) — or raises FileNotFoundError once a vacuum took that history
@@ -2282,6 +2550,7 @@ def test_lake_random_interleaving_matches_oracle(ray_session, tmp_path):
     from hypothesis import HealthCheck, given, settings
 
     from jitsu_ray.sinks.lake import active_moduli
+    from jitsu_ray.state.ledger import Ledger
 
     keys = [(None, "n"), ("r1", "a"), ("r1", "b"), ("r2", "c")]
 
@@ -2360,6 +2629,11 @@ def test_lake_random_interleaving_matches_oracle(ray_session, tmp_path):
             assert {
                 k: int(v[2][1:]) for k, v in _state(lake).items()
             } == fold(events)
+            # the lake's incrementally advanced ledger state equals a
+            # full replay of the history, and a fresh reader's
+            full = _views(_full_replay(lake.ledger.dir))
+            assert _views(lake.ledger.state()) == full
+            assert _views(Ledger(lake.ledger.dir).state()) == full
         # point lookups route through whatever topology the splits left
         expect = fold(events)
         got = {

@@ -1870,6 +1870,7 @@ def test_cli_maintain_subcommand(tmp_path):
     import subprocess
     import sys
 
+    root = os.path.dirname(os.path.dirname(os.path.abspath(__file__)))
     build = f"""
 import warnings; warnings.filterwarnings("ignore")
 import ray; ray.init(address="local", num_cpus=4, include_dashboard=False, logging_level="ERROR")
@@ -1884,18 +1885,16 @@ ray.shutdown()
 """
     r = subprocess.run(
         [sys.executable, "-c", build],
-        capture_output=True, text=True, cwd="/root/repo", timeout=300,
+        capture_output=True, text=True, cwd=root, timeout=300,
     )
     assert r.returncode == 0, r.stderr
-    r = subprocess.run(
-        [
-            sys.executable, "-m", "jitsu_ray", "maintain",
-            "--lake", str(tmp_path / "lake"),
-            "--max-partition-bytes", "20000", "--min-files", "2",
-            "--keep-history", "0", "--cluster-by", "repo",
-        ],
-        capture_output=True, text=True, cwd="/root/repo", timeout=300,
-    )
+    cmd = [
+        sys.executable, "-m", "jitsu_ray", "maintain",
+        "--lake", str(tmp_path / "lake"),
+        "--max-partition-bytes", "20000", "--min-files", "2",
+        "--keep-history", "0", "--cluster-by", "repo",
+    ]
+    r = subprocess.run(cmd, capture_output=True, text=True, cwd=root, timeout=300)
     assert r.returncode == 0, r.stderr
     out = _json.loads(r.stdout.strip().splitlines()[-1])
     # both partitions split, and the split already wrote every child as
@@ -1903,3 +1902,9 @@ ray.shutdown()
     assert len(out["splits"]) == 2 and out["compacted_parts"] == 0
     # the pass's write cost: bytes of every file its splits and folds wrote
     assert out["bytes_written"] > 0
+    # every child landed under the budget: a second identical pass splits
+    # nothing (children sized at bytes / budget overshot and split again)
+    r = subprocess.run(cmd, capture_output=True, text=True, cwd=root, timeout=300)
+    assert r.returncode == 0, r.stderr
+    again = _json.loads(r.stdout.strip().splitlines()[-1])
+    assert again["splits"] == [] and again["bytes_written"] == 0
