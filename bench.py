@@ -261,9 +261,10 @@ def scaling() -> None:
         return best
 
     # two protocols (round-1 verdict): "configured" uses the production
-    # pool sizing (cpus//2 — what a real deployment runs), "fixed_pool"
-    # pins the merger pool at both levels so the efficiency number
-    # isolates the engine's scaling from the pool-size config
+    # fold-group count (cpus//2 — what a real deployment runs),
+    # "fixed_pool" pins it (JITSU_MERGER_POOL) at both levels so the
+    # efficiency number isolates the engine's scaling from that config;
+    # the report keeps its "merger_pool" key so older records compare
     fixed_pool = int(os.environ.get("SCALE_FIXED_POOL", "4"))
     report: dict = {"metric": "scaling_efficiency", "unit": "ratio",
                     "sf": sf, "events": n_events}

@@ -67,8 +67,8 @@ Design:
 - **A vacuum RACING the apply** (``diff_as_of`` passes its eager
   existence check, then a source ``vacuum()`` deletes the files while
   the lazy window streams) degrades to the same re-sync instead of
-  crashing: ``apply_window`` commits no ledger row on failure and
-  discards its merger pool, so the retry is clean.
+  crashing: ``apply_window`` commits no ledger row on failure and its
+  fold tasks keep no state between windows, so the retry is clean.
 """
 
 from __future__ import annotations

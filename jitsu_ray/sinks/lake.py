@@ -29,16 +29,17 @@ Scale notes (the 100 TB design points):
   * The only all-to-all exchange per window is the hash partition of
     the window's events — after a per-batch combiner has already
     collapsed duplicate keys, so the shuffle carries at most (unique
-    keys in window) rows. The exchange is an EXPLICIT hash exchange
-    into a pool of stateful merger actors rather than
+    keys in window) rows. The exchange is EXPLICIT rather than
     ``groupby("__part")``: Ray 2.49's sort-based shuffle partitions
     blocks into zero-copy slices whose serialization ships the whole
     parent block per slice — on wide large_string rows that is a
     ~40x shuffle write amplification (measured: 2M x 800B rows took
     30s at 32 CPUs and anti-scaled vs 8 CPUs), and the hash-shuffle
-    strategy crashes on empty partitions in this version. The manual
-    exchange sends trimmed ``take()`` copies directly to the actor
-    that owns the partition, so bytes moved = bytes needed.
+    strategy crashes on empty partitions in this version. Instead one
+    stateless ``_fold_window`` task per group of partitions reads the
+    window's prepped blocks zero-copy from plasma and folds only its
+    own rows; the ledger's put-if-absent row is the only point of
+    ordering, so no writer needs to be a long-lived actor.
   * Hot repos are handled by hashing the full (repo, path) key: a
     Zipf-heavy repo's files spread uniformly over partitions. A single
     hot *key* is irreducible (its events must meet in one group) but
@@ -146,31 +147,6 @@ def resolve_arrow(tbl: pa.Table, key_cols: list[str]) -> pa.Table:
     return win.filter(pc.not_equal(win[OP_COL], TOMBSTONE))
 
 
-@ray.remote(num_cpus=0)
-def _split_block(block: pa.Table, pool_size: int):
-    """Slice one prepped block into per-merger-group sub-tables
-    (group = __part % pool_size, matching the pool's partition
-    assignment). Called with ``num_returns=pool_size`` so every group
-    lands in its OWN object: the merger that owns group g fetches only
-    object g — on a multi-node cluster network bytes per window equal
-    window bytes, not window x pool (the round-1 design shipped every
-    block ref to every merger). Scheduled zero-cpu: the work is one
-    argsort + pool_size takes, and locality puts it on the node that
-    produced the block, so co-located mergers keep plasma zero-copy.
-    ``take`` (not ``slice``) compacts each group into fresh buffers —
-    a zero-copy slice would serialize its whole parent block
-    (the measured ~40x amplification pitfall)."""
-    import numpy as np
-
-    if block.num_rows == 0 or PART_COL not in block.column_names:
-        return (block,) * pool_size if pool_size > 1 else block
-    from ..util import group_take_indices
-
-    g = block[PART_COL].to_numpy(zero_copy_only=False) % pool_size
-    out = tuple(block.take(idx) for idx in group_take_indices(g, pool_size))
-    return out if pool_size > 1 else out[0]
-
-
 def _write_key_bloom(tbl: pa.Table, key_cols: list[str], parquet_path: str) -> str:
     """Per-file key Bloom sidecar (``<file>.bloom.npz``) over the
     64-bit composite-key hash — the point-lookup complement to zone
@@ -185,12 +161,19 @@ def _write_key_bloom(tbl: pa.Table, key_cols: list[str], parquet_path: str) -> s
 
     keys = pl.from_arrow(tbl.select(key_cols)).unique().to_arrow()
     bf = BloomFilter.build(hash64_column(keys, key_cols).to_numpy(zero_copy_only=False))
+    import zipfile
+
     import numpy as np
 
     path = parquet_path + ".bloom.npz"
     fd, tmp = tempfile.mkstemp(dir=os.path.dirname(path), suffix=".tmp")
-    with os.fdopen(fd, "wb") as f:
-        np.savez(f, bits=bf.bits, m=np.int64(bf.m), k=np.int64(bf.k))
+    with os.fdopen(fd, "wb") as f, zipfile.ZipFile(f, "w") as zf:
+        # np.savez's layout, but each entry keeps ZipInfo's fixed 1980
+        # timestamp instead of the clock, so the sidecar's bytes depend
+        # on its keys only and a retried write is byte-identical
+        for name, arr in (("bits", bf.bits), ("m", np.int64(bf.m)), ("k", np.int64(bf.k))):
+            with zf.open(zipfile.ZipInfo(f"{name}.npy"), "w", force_zip64=True) as z:
+                np.lib.format.write_array(z, np.asanyarray(arr))
     os.replace(tmp, path)
     return path
 
@@ -345,6 +328,53 @@ def _prep_window_batch(
     return resolve_keep_tombstones(batch, key_cols)
 
 
+@ray.remote
+def _fold_window(
+    parts: list[int], window_tag: str, writer: dict, *blocks: pa.Table,
+) -> list[dict]:
+    """apply_window's fold for one group of partitions: take the
+    group's rows from every prepped block of the window, LWW-resolve
+    them once (tombstones kept), and write one ``delta-<window_tag>``
+    file per touched partition through ``_write_lake_files``, whose
+    other arguments ``writer`` holds. Returns one info row per file,
+    each carrying the task's own fold+write time as ``fold_sec``.
+
+    Stateless, so a retry (a worker dying mid-fold) rewrites the same
+    deterministic paths with the same bytes, and nothing outlives the
+    window. Every group reads every block: zero-copy from plasma on one
+    node, but a multi-node cluster would ship each block to every group
+    (window x groups bytes)."""
+    import time
+
+    import numpy as np
+
+    t0 = time.perf_counter()
+    mine = []
+    for block in blocks:
+        # 0-row map outputs surface as schema-less blocks; nothing to own
+        if block.num_rows == 0 or PART_COL not in block.column_names:
+            continue
+        pvals = block[PART_COL].to_numpy(zero_copy_only=False)
+        idx = np.nonzero(np.isin(pvals, parts))[0]
+        if idx.size:
+            mine.append(block if idx.size == block.num_rows else block.take(idx))
+    if not mine:
+        return []
+    tbl = resolve_keep_tombstones(pa.concat_tables(mine), writer["key_cols"])
+    pvals = tbl[PART_COL].to_numpy(zero_copy_only=False)
+    out = []
+    for p in parts:
+        idx = np.nonzero(pvals == p)[0]
+        if idx.size == 0:
+            continue
+        merged = tbl.take(idx)
+        [info] = _write_lake_files(merged, part=p, stem=f"delta-{window_tag}", **writer)
+        n_tomb = merged.filter(pc.equal(merged[OP_COL], TOMBSTONE)).num_rows
+        out.append({"part": p, "tombstones": n_tomb, **info})
+    fold_sec = round(time.perf_counter() - t0, 3)
+    return [{**r, "fold_sec": fold_sec} for r in out]
+
+
 def _fold_and_write(
     tbl: pa.Table, part: int, stem: str, watermark: int, layout: dict,
     in_bytes: float,
@@ -480,90 +510,6 @@ def _zone_may_contain(stats: dict, keys: pa.Table) -> bool:
     return bool(mask.any())
 
 
-@ray.remote(num_cpus=0, max_restarts=0)
-class PartitionMerger:
-    """Stateful merger actor: owns a fixed set of lake partitions for the
-    lifetime of a replay run (T4/J3 analog — the reference's per-table
-    upsert writer behind an etcd lock; here the partition assignment IS
-    the lock). Receives trimmed per-partition sub-tables during a
-    window, folds them incrementally (LWW keep-tombstones), and on
-    ``finish`` writes one delta file per touched partition.
-
-    num_cpus=0: ingest work is tiny and finish-time work is write-IO
-    bound; reserving whole CPUs would starve the read/prep stages
-    (actor-pool sizing note in SURVEY §7.2).
-    """
-
-    FOLD_ROWS = 500_000  # buffered rows before an incremental LWW fold
-
-    def __init__(
-        self,
-        lake_dir: str,
-        key_cols: list[str],
-        my_parts: list[int],
-        stats_cols: list[str] | None = None,
-    ):
-        self.lake_dir = lake_dir
-        self.key_cols = key_cols
-        self.my_parts = sorted(my_parts)
-        self.stats_cols = list(stats_cols or [])
-        self.buf: list[pa.Table] = []
-        self.buf_rows = 0
-
-    def ingest_block(self, block: pa.Table) -> int:
-        """Ingest a pre-split slice holding ONLY this merger's rows
-        (apply_window routes each split output to its owning actor, so
-        across nodes network bytes = owned bytes, not window x pool).
-        The isin filter stays as a cheap correctness belt: a slice that
-        somehow carries foreign rows is trimmed, and whole shared
-        blocks (the pre-split-less path) still work."""
-        import numpy as np
-
-        # 0-row map outputs surface as schema-less blocks; nothing to own
-        if block.num_rows == 0 or PART_COL not in block.column_names:
-            return 0
-        pvals = block[PART_COL].to_numpy(zero_copy_only=False)
-        idx = np.nonzero(np.isin(pvals, self.my_parts))[0]
-        if idx.size == 0:
-            return 0
-        if idx.size == block.num_rows:
-            self.buf.append(block)
-        else:
-            self.buf.append(block.take(idx))
-        self.buf_rows += idx.size
-        if self.buf_rows >= self.FOLD_ROWS:
-            folded = resolve_keep_tombstones(
-                pa.concat_tables(self.buf), self.key_cols
-            )
-            self.buf = [folded]
-            self.buf_rows = folded.num_rows
-        return int(idx.size)
-
-    def finish(self, window_tag: str) -> list[dict]:
-        import numpy as np
-
-        out = []
-        if self.buf:
-            all_mine = resolve_keep_tombstones(
-                pa.concat_tables(self.buf), self.key_cols
-            )
-            pvals = all_mine[PART_COL].to_numpy(zero_copy_only=False)
-            for p in self.my_parts:
-                idx = np.nonzero(pvals == p)[0]
-                if idx.size == 0:
-                    continue
-                merged = all_mine.take(idx)
-                [info] = _write_lake_files(
-                    merged, self.lake_dir, p, f"delta-{window_tag}",
-                    self.key_cols, self.key_cols + self.stats_cols,
-                )
-                n_tomb = merged.filter(pc.equal(merged[OP_COL], TOMBSTONE)).num_rows
-                out.append({"part": p, "tombstones": n_tomb, **info})
-        self.buf = []
-        self.buf_rows = 0
-        return out
-
-
 class LakeTable:
     def __init__(self, lake_dir: str):
         from ..util import hash_self_test
@@ -598,59 +544,26 @@ class LakeTable:
         self.schema_dir = os.path.join(lake_dir, "_schema")
         self.ledger = Ledger(os.path.join(lake_dir, "_ledger"))
         self.schema = LakeSchema.load(self.schema_dir)
-        self._mergers: list | None = None
-        self._merger_parts: tuple | None = None
-        # exchange routing: "shared" hands every merger the same block
-        # ref (plasma reads are zero-copy when the pool is co-located on
-        # one node); "split" pre-slices each block per merger group so
-        # cross-node traffic = owned bytes. "auto" picks by topology,
-        # resolved once per merger pool (_merger_pool).
-        self.exchange_mode: str = "auto"
-        self._auto_exchange = "shared"
+        # cluster CPU count, read at this instance's first window
+        # (_fold_groups): a GCS round trip not worth paying per window
+        self._cpus: int | None = None
 
-    def _merger_pool(self, active: list[int]) -> list:
-        """Merger actors, created once per LakeTable instance and reused
-        across windows (actor startup amortized; buffers cleared at each
-        window's finish) — rebuilt when a partition SPLIT changed the
-        active id set (a stale pool would still claim the split parent
-        and no one would own the children). Pool size =
-        min(active partitions, cluster CPUs / 2). The "auto" exchange
-        mode is resolved here too, once per pool, not per window (a GCS
-        round trip): both modes are correct, so a mode gone stale after
-        the cluster changed only costs speed."""
-        if self._mergers is not None and self._merger_parts != tuple(active):
-            for h in self._mergers:
-                try:
-                    ray.kill(h)
-                except Exception:
-                    pass
-            self._mergers = None
-        if self._mergers is None:
-            cpus = int(ray.cluster_resources().get("CPU", 8))
-            # cap at half the CPUs: a pool of exactly `cpus` zero-cpu actors
-            # 1:1 with `cpus` blocked exchange tasks collapses throughput
-            # (measured 15x on a 2M-row window); half leaves slots for the
-            # read/prep/split stages to stream concurrently
-            # JITSU_MERGER_POOL pins the pool size irrespective of CPU
-            # count — used by bench.py --scaling to hold the pool equal
-            # across parallelism levels (round-1 verdict: pool scaling
-            # with cpus confounded the 4->16 efficiency number)
-            m = int(os.environ.get("JITSU_MERGER_POOL", "0")) or max(
-                1, min(len(active), cpus // 2)
-            )
-            self._mergers = [
-                PartitionMerger.remote(
-                    self.dir,
-                    self.key_cols,
-                    [p for p in active if p % m == a],
-                    self.stats_cols,
-                )
-                for a in range(m)
-            ]
-            self._merger_parts = tuple(active)
-            alive = [n for n in ray.nodes() if n.get("Alive", False)]
-            self._auto_exchange = "shared" if len(alive) <= 1 else "split"
-        return self._mergers
+    def _fold_groups(self, active: list[int]) -> list[list[int]]:
+        """Split the active partition ids into fold groups, one
+        ``_fold_window`` task each: ``min(active, cpus // 2)`` groups
+        (half the CPUs leaves slots for the read/prep stages of the next
+        window), group ``g`` owning the ids ``p % n == g``.
+        ``JITSU_MERGER_POOL`` pins the group count irrespective of CPU
+        count — bench.py --scaling holds it equal across parallelism
+        levels. The grouping never changes a file: each partition's rows
+        are resolved and written the same in any group."""
+        if self._cpus is None:
+            self._cpus = int(ray.cluster_resources().get("CPU", 8))
+        n = int(os.environ.get("JITSU_MERGER_POOL", "0")) or max(
+            1, min(len(active), self._cpus // 2)
+        )
+        groups = [[p for p in active if p % n == g] for g in range(n)]
+        return [g for g in groups if g]
 
     # -- lifecycle ----------------------------------------------------------
 
@@ -901,65 +814,30 @@ class LakeTable:
                 f"{window_tag}-f{st.seq}-{_uuid.uuid4().hex[:8]}"
             )
 
-        handles = self._merger_pool(sorted(active_moduli(num_parts, splits)))
-        pool = len(handles)
+        groups = self._fold_groups(sorted(active_moduli(num_parts, splits)))
+        _t_stream = _time.perf_counter()
         prepped = ds.map_batches(
             _prep_window_batch,
             batch_format="pyarrow",
             fn_kwargs={"target": target, "key_cols": key_cols,
                        "num_parts": num_parts, "splits": splits},
         )
-
-        # Explicit hash exchange (module docstring): stream prepped
-        # blocks out of the Dataset as they materialize. On one node the
-        # pool shares each block ref (plasma zero-copy; each merger
-        # takes its rows — measured faster than an extra store round-
-        # trip). On a multi-node cluster a zero-cpu locality-scheduled
-        # task pre-splits each block per merger group and each actor
-        # receives ONLY its slice, so network bytes = owned bytes (round
-        # 1 shipped every block to every merger: window x pool bytes).
-        # The in-flight ack cap backpressures the read either way.
-        mode = self._auto_exchange if self.exchange_mode == "auto" else self.exchange_mode
-        acks: list = []
-        max_in_flight = 8 * pool
-        try:
-            for bundle in prepped.iter_internal_ref_bundles():
-                for block_ref in bundle.block_refs:
-                    if mode == "split":
-                        slices = _split_block.options(num_returns=pool).remote(
-                            block_ref, pool
-                        )
-                        if pool == 1:
-                            slices = [slices]
-                        acks.extend(
-                            handles[g].ingest_block.remote(slices[g]) for g in range(pool)
-                        )
-                    else:
-                        acks.extend(h.ingest_block.remote(block_ref) for h in handles)
-                    if len(acks) >= max_in_flight:
-                        _, pending = ray.wait(acks, num_returns=len(acks) - max_in_flight // 2)
-                        acks = list(pending)
-            ray.get(acks)  # every slice acknowledged by its owning merger
-            stats_rows = [
-                r
-                for rows in ray.get([h.finish.remote(window_tag) for h in handles])
-                for r in rows
-            ]
-        except BaseException:
-            # A failed window (e.g. FileNotFoundError from a vacuumed
-            # upstream read surfacing inside the streamed exchange) may
-            # leave PARTIAL rows buffered in the merger actors; reusing
-            # that pool would leak them into the next window's delta
-            # files. Discard the pool — the next apply_window builds a
-            # fresh one. No ledger row was committed, so lake state is
-            # untouched and the caller may simply retry.
-            for h in handles:
-                try:
-                    ray.kill(h)
-                except Exception:
-                    pass
-            self._mergers = None
-            raise
+        # Exchange (module docstring): collect the prepped block refs as
+        # they materialize, then one stateless fold task per group reads
+        # every block and keeps its own rows. A failure anywhere raises
+        # before the ledger row, so the lake is untouched and the caller
+        # may simply retry; a fold task whose worker dies is retried by
+        # Ray, and its deterministic paths make the retry converge.
+        refs = [
+            ref
+            for bundle in prepped.iter_internal_ref_bundles()
+            for ref in bundle.block_refs
+        ]
+        stream_sec = _time.perf_counter() - _t_stream
+        writer = {"lake_dir": self.dir, "key_cols": key_cols,
+                  "zone_cols": key_cols + self.stats_cols}
+        tasks = [_fold_window.remote(g, window_tag, writer, *refs) for g in groups if refs]
+        stats_rows = [r for rows in ray.get(tasks) for r in rows]
 
         entry = {
             "kind": "window",
@@ -974,6 +852,11 @@ class LakeTable:
                 "tombstones": int(sum(r["tombstones"] for r in stats_rows)),
                 "bytes_written": int(sum(r["bytes"] for r in stats_rows)),
                 "window_sec": round(_time.perf_counter() - _t0, 3),
+                "stages": {
+                    "stream_sec": round(stream_sec, 3),
+                    # the slowest group's own fold+write time
+                    "fold_sec": max((r["fold_sec"] for r in stats_rows), default=0.0),
+                },
                 "events_per_sec": round(
                     (hi - lo) / max(1e-9, _time.perf_counter() - _t0)
                 ),
@@ -1713,9 +1596,9 @@ class LakeTable:
         refinement, so every existing key stays derivable from the same
         64-bit hash and per-partition resolution stays equal to global
         resolution. The split row commits atomically in the ledger;
-        ``apply_window`` re-reads the topology each window and rebuilds
-        its merger pool, ``lookup`` routes through the same refinement,
-        and reads just see the children's files.
+        ``apply_window`` re-reads the topology each window and groups
+        the children into its fold tasks, ``lookup`` routes through the
+        same refinement, and reads just see the children's files.
 
         Mechanics — ROUTE AND FOLD in one rewrite, so each byte of a
         split partition is written once, already resolved (a same-pass

@@ -29,7 +29,7 @@ class MetricsActor:
         self.gauges[name] = value
 
     def max_gauge(self, name: str, value: float) -> None:
-        """High-water gauge (e.g. peak buffered rows per merger)."""
+        """High-water gauge (e.g. the most rows a window wrote to one partition)."""
         if value > self.gauges.get(name, float("-inf")):
             self.gauges[name] = value
 

@@ -241,8 +241,8 @@ def once_per_process(site: str, ref, build=lambda x: x):
 
 def group_take_indices(group_ids: np.ndarray, n_groups: int) -> list[np.ndarray]:
     """Stable per-group row-index arrays for splitting one block into
-    n_groups sub-tables. Shared core of the zero-cpu block splitters
-    (lake._split_block by merger group, similarity._split_by_bucket by
+    n_groups sub-tables. Shared core of the block splitters
+    (lake._route_group by split child, similarity._split_by_bucket by
     IVF bucket): one argsort + searchsorted bounds; callers `take` each
     index array so every group lands in fresh compacted buffers —
     a zero-copy slice would serialize its whole parent block (the

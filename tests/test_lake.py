@@ -214,47 +214,225 @@ def test_hash_self_test_known_answers():
     hash_self_test()  # raises on polars xxhash64 drift
 
 
-def test_split_block_routes_only_owned_rows(ray_session):
-    import numpy as np
-    import ray as _ray
-
-    from jitsu_ray.sinks.lake import PART_COL, _split_block
-
-    rng = np.random.default_rng(0)
-    parts = rng.integers(0, 16, size=1000)
-    block = pa.table(
-        {PART_COL: pa.array(parts, pa.int32()), "v": pa.array(range(1000), pa.int64())}
-    )
-    pool = 4
-    refs = _split_block.options(num_returns=pool).remote(_ray.put(block), pool)
-    slices = _ray.get(list(refs))
-    total = 0
-    for g, s in enumerate(slices):
-        got = np.asarray(s[PART_COL].to_numpy(zero_copy_only=False)) % pool
-        assert (got == g).all()  # merger g receives ONLY its groups' rows
-        total += s.num_rows
-    assert total == 1000  # nothing lost, nothing duplicated
+def _lake_fingerprint(lake):
+    """(read() state, the ledger's file lists, bytes of every live data
+    file and its Bloom sidecar) — equal across two lakes iff they hold
+    byte-identical files under identical ledgers."""
+    rows = lake.read().take_all()
+    state = sorted((r["repo"], r["path"], r["commit_seq"], r["content"]) for r in rows)
+    files = [
+        e["files"] if e["kind"] == "window"
+        else {c: [i["file"] for i in infos] for c, infos in e["parts"].items()}
+        for e in lake.ledger.entries() if e["kind"] in ("window", "split")
+    ]
+    blobs = {}
+    for fs in lake.live_files().values():
+        for f in fs:
+            for path in (f, f + ".bloom.npz"):
+                with open(path, "rb") as fh:
+                    blobs[os.path.relpath(path, lake.dir)] = fh.read()
+    return state, files, blobs
 
 
-def test_exchange_split_mode_equivalent_state(ray_session, tmp_path):
-    """Forced pre-split exchange (the multi-node path) converges to the
-    same lake state as the shared-ref path."""
+def test_fold_group_count_equivalent_state(ray_session, tmp_path, monkeypatch):
+    """The number of fold groups (one ``_fold_window`` task each) never
+    changes a file: 1, 3 and 8 groups give the same read() state, the
+    same ledger ``files`` and byte-identical data files and Bloom
+    sidecars, also for windows routed across a committed split."""
     import ray.data
 
-    from jitsu_ray.sinks.lake import LakeTable
     from jitsu_ray.testgen import gen_changelog
 
     tbl = gen_changelog(n_events=4000, n_repos=12, seed=21)
 
-    def run(mode, name):
-        lake = LakeTable.create(str(tmp_path / name), ["repo", "path"], 8)
-        lake.exchange_mode = mode
-        lake.apply_window(ray.data.from_arrow(tbl.slice(0, 2000)), 0, 2000)
-        lake.apply_window(ray.data.from_arrow(tbl.slice(2000, 2000)), 2000, 4000)
-        rows = lake.read().take_all()
-        return sorted((r["repo"], r["path"], r["commit_seq"], r["content"]) for r in rows)
+    def run(groups):
+        monkeypatch.setenv("JITSU_MERGER_POOL", str(groups))
+        lake = LakeTable.create(str(tmp_path / f"lake{groups}"), ["repo", "path"], 8)
+        lake.apply_window(ray.data.from_arrow(tbl.slice(0, 1500)), 0, 1500)
+        lake.apply_window(ray.data.from_arrow(tbl.slice(1500, 1500)), 1500, 3000)
+        assert lake.split_partition(3, factor=3)["kind"] == "split"
+        lake.apply_window(ray.data.from_arrow(tbl.slice(3000, 1000)), 3000, 4000)
+        return _lake_fingerprint(lake)
 
-    assert run("split", "lake_split") == run("shared", "lake_shared")
+    one = run(1)
+    assert set(one[1][2]) == {"3", "11", "19"}  # the split row's children
+    assert set(one[1][3]) & {"11", "19"}  # the last window wrote into them
+    assert run(3) == one
+    assert run(8) == one
+
+
+def test_split_block_routes_only_owned_rows(ray_session, tmp_path):
+    """Each fold task keeps ONLY its own partitions' rows of every block:
+    group ``g`` of 4 writes files for partitions ``p % 4 == g`` alone,
+    every row in a file carries that file's partition, and the groups'
+    files hold the window's resolved rows once each — nothing lost,
+    nothing duplicated."""
+    import ray as _ray
+    import ray.data
+
+    from jitsu_ray.sinks import lake as lake_mod
+    from jitsu_ray.sinks.lake import PART_COL, resolve_keep_tombstones
+    from jitsu_ray.testgen import gen_changelog
+
+    key_cols, num_parts, pool = ["repo", "path"], 16, 4
+    tbl = gen_changelog(n_events=1200, n_repos=8, seed=0)
+    lake = LakeTable.create(str(tmp_path / "lake"), key_cols, num_parts)
+    lake.apply_window(ray.data.from_arrow(tbl.slice(0, 200)), 0, 200)
+    blocks = [
+        lake_mod._prep_window_batch(
+            tbl.slice(lo, 500), lake.full_arrow_schema(), key_cols, num_parts, [])
+        for lo in (200, 700)
+    ]
+    writer = {"lake_dir": lake.dir, "key_cols": key_cols, "zone_cols": key_cols}
+    refs = [_ray.put(b) for b in blocks]
+    groups = [[p for p in range(num_parts) if p % pool == g] for g in range(pool)]
+    infos = _ray.get([
+        lake_mod._fold_window.remote(g, "000000000200-000000001200", writer, *refs)
+        for g in groups
+    ])
+    keys = []
+    for g, rows in enumerate(infos):
+        assert rows  # 1000 events over 16 partitions reach every group
+        for r in rows:
+            assert r["part"] % pool == g  # group g wrote ONLY its partitions
+            got = pq.read_table(os.path.join(lake.dir, r["file"]))
+            assert set(got[PART_COL].to_pylist()) == {r["part"]}
+            keys += zip(got["repo"].to_pylist(), got["path"].to_pylist())
+    want = resolve_keep_tombstones(pa.concat_tables(blocks), key_cols)
+    assert len(keys) == len(set(keys)) == want.num_rows  # nothing lost or doubled
+    assert set(keys) == set(zip(want["repo"].to_pylist(), want["path"].to_pylist()))
+
+
+def test_exchange_split_mode_equivalent_state(ray_session, tmp_path, monkeypatch):
+    """The split exchange — several fold groups, each taking only its own
+    rows out of every block — converges to the same lake, byte for byte,
+    as one group folding every row, when windows arrive as many blocks
+    whose equal keys must keep their block order."""
+    import ray.data
+
+    from jitsu_ray.sinks import lake as lake_mod
+    from jitsu_ray.testgen import gen_changelog
+
+    tbl = gen_changelog(n_events=4000, n_repos=12, seed=21)
+    real = lake_mod._fold_window
+    n_blocks = []
+
+    class Counted:
+        @staticmethod
+        def remote(parts, tag, writer, *refs):
+            n_blocks.append(len(refs))
+            return real.remote(parts, tag, writer, *refs)
+
+    monkeypatch.setattr(lake_mod, "_fold_window", Counted)
+
+    def run(groups):
+        monkeypatch.setenv("JITSU_MERGER_POOL", str(groups))
+        lake = LakeTable.create(str(tmp_path / f"lake{groups}"), ["repo", "path"], 8)
+        for lo in (0, 2000):
+            pieces = [tbl.slice(lo + i, 400) for i in range(0, 2000, 400)]
+            lake.apply_window(ray.data.from_arrow(pieces), lo, lo + 2000)
+        return _lake_fingerprint(lake)
+
+    one = run(1)
+    assert min(n_blocks) > 1  # every fold read several blocks
+    assert run(4) == one
+
+
+def test_apply_window_starts_no_actor(ray_session, tmp_path):
+    """The window path is stateless tasks only: two windows on a fresh
+    lake leave the GCS actor table's ALIVE set unchanged. Each window
+    row records its stage times next to ``window_sec``."""
+    import ray.data
+    from ray._private import state as ray_state
+
+    from jitsu_ray.testgen import gen_changelog
+
+    def alive():
+        return {a for a, v in ray_state.actors().items() if v["State"] == "ALIVE"}
+
+    tbl = gen_changelog(n_events=2000, n_repos=8, seed=5)
+    # warm-up on another lake: Ray Data's own session-wide helpers
+    # (e.g. its stats actor) start at the session's first Dataset
+    warm = LakeTable.create(str(tmp_path / "warm"), ["repo", "path"], 4)
+    warm.apply_window(ray.data.from_arrow(tbl.slice(0, 500)), 0, 500)
+    before = alive()
+    lake = LakeTable.create(str(tmp_path / "lake"), ["repo", "path"], 4)
+    lake.apply_window(ray.data.from_arrow(tbl.slice(0, 1000)), 0, 1000)
+    lake.apply_window(ray.data.from_arrow(tbl.slice(1000, 1000)), 1000, 2000)
+    assert alive() == before
+    for e in lake.ledger.entries():
+        m = e["metrics"]
+        assert set(m["stages"]) == {"stream_sec", "fold_sec"}
+        assert 0 <= m["stages"]["fold_sec"] <= m["window_sec"]
+        assert 0 <= m["stages"]["stream_sec"] <= m["window_sec"]
+
+
+def test_fold_window_retry_is_idempotent(ray_session, tmp_path, monkeypatch):
+    """A fold task retried by Ray (its worker died mid-window) reruns on
+    the same block refs: the rerun returns the same infos (bar its own
+    ``fold_sec`` timing) and rewrites byte-identical data files and
+    Bloom sidecars, and the window commits once."""
+    import ray as _ray
+    import ray.data
+
+    from jitsu_ray.sinks import lake as lake_mod
+    from jitsu_ray.testgen import gen_changelog
+
+    tbl = gen_changelog(n_events=1500, n_repos=8, seed=9)
+    lake = LakeTable.create(str(tmp_path / "lake"), ["repo", "path"], 4)
+    lake.apply_window(ray.data.from_arrow(tbl.slice(0, 500)), 0, 500)
+    real = lake_mod._fold_window
+    runs = []
+
+    class Retried:
+        """Runs each fold twice, the first attempt's files left on disk
+        as a worker killed after its writes would leave them."""
+
+        @staticmethod
+        def remote(parts, tag, writer, *refs):
+            first = _ray.get(real.remote(parts, tag, writer, *refs))
+            disk = {}
+            for r in first:
+                for f in (r["file"], r["file"] + ".bloom.npz"):
+                    with open(os.path.join(lake.dir, f), "rb") as fh:
+                        disk[f] = fh.read()
+            runs.append((first, disk))
+            return real.remote(parts, tag, writer, *refs)
+
+    monkeypatch.setattr(lake_mod, "_fold_window", Retried)
+    entry = lake.apply_window(ray.data.from_arrow(tbl.slice(500, 1000)), 500, 1500)
+    monkeypatch.undo()
+    assert runs and sum(len(first) for first, _ in runs) == len(entry["files"])
+    files = {r["file"] for first, _ in runs for r in first}
+    assert files == set(entry["files"].values())
+    untimed = lambda rows: [{k: v for k, v in r.items() if k != "fold_sec"} for r in rows]
+    for first, disk in runs:
+        for f, blob in disk.items():
+            with open(os.path.join(lake.dir, f), "rb") as fh:
+                assert fh.read() == blob  # the retry rewrote the same bytes
+        for r in untimed(first):
+            assert entry["files"][str(r["part"])] == r["file"]
+            assert entry["key_stats"][str(r["part"])] == r["key_stats"]
+    # the same refs folded twice more, by hand, return identical infos
+    prepped = [
+        _ray.put(lake_mod._prep_window_batch(
+            tbl.slice(500, 1000), lake.full_arrow_schema(), ["repo", "path"], 4, []))
+    ]
+    writer = {"lake_dir": lake.dir, "key_cols": ["repo", "path"],
+              "zone_cols": ["repo", "path"]}
+    tag = "000000000500-000000001500"
+    a = _ray.get(real.remote([0, 1, 2, 3], tag, writer, *prepped))
+    b = _ray.get(real.remote([0, 1, 2, 3], tag, writer, *prepped))
+    assert untimed(a) == untimed(b)
+    assert {r["file"] for r in a} == files
+    # one window row for (500, 1500]; a re-apply is the committed skip
+    wins = [e for e in lake.ledger.entries() if e["kind"] == "window"]
+    assert [(e["lo"], e["hi"]) for e in wins] == [(0, 500), (500, 1500)]
+    assert lake.apply_window(ray.data.from_arrow(tbl.slice(500, 1000)), 500, 1500)["skipped"]
+    ref = LakeTable.create(str(tmp_path / "ref"), ["repo", "path"], 4)
+    ref.apply_window(ray.data.from_arrow(tbl.slice(0, 500)), 0, 500)
+    ref.apply_window(ray.data.from_arrow(tbl.slice(500, 1000)), 500, 1500)
+    assert _lake_fingerprint(lake) == _lake_fingerprint(ref)
 
 
 def test_metrics_registry_counters_and_gauges(ray_session, tmp_path):
@@ -1527,8 +1705,9 @@ def test_replica_resync_null_safe_anti_join(ray_session, tmp_path):
 def test_replica_lazy_vacuum_race_degrades_to_resync(ray_session, tmp_path, monkeypatch):
     """diff_as_of passes its EAGER existence check, then the source
     files vanish while the lazy window streams (a compact racing the
-    apply): apply_window must discard its partially-fed merger pool
-    (no leaked rows) and replicate must degrade to a re-sync."""
+    apply): apply_window must fail before its fold tasks run or its
+    ledger row lands (no leaked rows) and replicate must degrade to a
+    re-sync."""
     import ray.data
 
     from jitsu_ray.pipelines import replicate as rep_mod
