@@ -159,8 +159,9 @@ def _write_key_bloom(tbl: pa.Table, key_cols: list[str], parquet_path: str) -> s
     from ..ops.sketch import BloomFilter
     from ..util import hash64_column
 
-    keys = pl.from_arrow(tbl.select(key_cols)).unique().to_arrow()
-    bf = BloomFilter.build(hash64_column(keys, key_cols).to_numpy(zero_copy_only=False))
+    # ``tbl`` is resolved (one row per key), so its key rows are already
+    # the distinct keys the filter is sized by
+    bf = BloomFilter.build(hash64_column(tbl, key_cols).to_numpy(zero_copy_only=False))
     import zipfile
 
     import numpy as np
@@ -239,6 +240,14 @@ def _drop_old_tombstones(tbl: pa.Table, watermark: int) -> pa.Table:
 # saves another 22% of bytes but writes ~25% slower than snappy.
 # Parquet records the codec per column chunk, so a lake mixing older
 # snappy files with zstd ones reads as it is.
+#
+# Footer statistics are written only for ``commit_seq`` and the zone-map
+# columns (``_write_lake_files``): file pruning comes from the ledger's
+# zone maps and the Bloom sidecars, and the only footer statistic code
+# reads is ``commit_seq`` (``LakeTable.max_row_seq``). Min/max of payload
+# columns were ~25% of a small window delta's bytes (a ``content`` bound
+# alone is ~1.2 kB, stored in the column chunk AND each page header).
+# Files written earlier with full statistics read as they are.
 _LAKE_PARQUET = {"compression": "zstd", "compression_level": 1}
 
 # maintain() splits a partition into ceil(bytes * headroom / budget)
@@ -265,7 +274,9 @@ def _write_lake_files(
     folds and split children. Each file is written tmp+replace at a
     deterministic path (a retry converges), gets its key Bloom sidecar,
     and its info records ``file``, ``rows``, on-disk ``bytes`` and the
-    zone-map ``key_stats``.
+    zone-map ``key_stats`` over ``zone_cols``. Parquet statistics are
+    written for ``commit_seq`` and ``zone_cols`` only; payload columns
+    carry none, in the footer or in page headers.
 
     ``cluster_by``: CLUSTERED rewrite — sort by these columns and cut
     into range-disjoint chunk files ``<stem>-cNNN`` of about
@@ -295,7 +306,7 @@ def _write_lake_files(
         fd, tmp = tempfile.mkstemp(dir=part_dir, suffix=".tmp")
         os.close(fd)
         chunk = chunk.combine_chunks()
-        pq.write_table(chunk, tmp, **_LAKE_PARQUET)
+        pq.write_table(chunk, tmp, write_statistics=[SEQ_COL, *zone_cols], **_LAKE_PARQUET)
         os.replace(tmp, final)
         _write_key_bloom(chunk, key_cols, final)
         info = {
@@ -369,7 +380,7 @@ def _fold_window(
             continue
         merged = tbl.take(idx)
         [info] = _write_lake_files(merged, part=p, stem=f"delta-{window_tag}", **writer)
-        n_tomb = merged.filter(pc.equal(merged[OP_COL], TOMBSTONE)).num_rows
+        n_tomb = pc.sum(pc.equal(merged[OP_COL], TOMBSTONE)).as_py() or 0
         out.append({"part": p, "tombstones": n_tomb, **info})
     fold_sec = round(time.perf_counter() - t0, 3)
     return [{**r, "fold_sec": fold_sec} for r in out]
@@ -903,16 +914,22 @@ class LakeTable:
         not plant seqs its watermark-stamped repair could never beat.
         Cost is one footer read per live file, driver-side — live-file
         count is bounded by compaction, and a heal is a rare manual
-        event; not for hot paths."""
+        event; not for hot paths. A file with a row group whose footer
+        lacks commit_seq bounds (another writer's) has its commit_seq
+        column read instead, so the result is never too low."""
         hi = 0
         for files in self.live_files().values():
             for f in files:
-                md = pq.ParquetFile(f).metadata
-                idx = md.schema.to_arrow_schema().get_field_index(SEQ_COL)
-                for rg in range(md.num_row_groups):
-                    st = md.row_group(rg).column(idx).statistics
-                    if st is not None and st.max is not None:
-                        hi = max(hi, st.max)
+                with pq.ParquetFile(f) as pf:
+                    md = pf.metadata
+                    idx = md.schema.to_arrow_schema().get_field_index(SEQ_COL)
+                    stats = [md.row_group(rg).column(idx).statistics
+                             for rg in range(md.num_row_groups)]
+                    if all(st is not None and st.has_min_max for st in stats):
+                        hi = max([hi, *(st.max for st in stats)])
+                    else:
+                        col = pf.read(columns=[SEQ_COL])[SEQ_COL]
+                        hi = max(hi, pc.max(col).as_py() or 0)
         return hi
 
     def read(

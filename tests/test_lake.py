@@ -1127,6 +1127,42 @@ def test_lookup_corrupt_bloom_sidecar_fails_open(ray_session, tmp_path):
     assert lake.last_lookup_stats["files_bloom_skipped"] == 0
 
 
+def test_bloom_sidecar_bytes_pinned_on_fold_output(ray_session, tmp_path):
+    """A sidecar's bytes depend on its file's key set only. Window folds
+    and a compaction fold (duplicate keys within and across windows,
+    tombstones kept) write exactly these sidecars; a change to the key
+    hash, the Bloom sizing or the layout shows up here."""
+    import glob
+    import hashlib
+
+    lake = LakeTable.create(str(tmp_path / "lake"), ["repo", "path"], 2)
+    seq = 0
+    for w in range(3):
+        rows = []
+        for i in range(30):
+            seq += 1
+            k = (i * 7 + w * 11) % 40
+            op = "delete" if i % 9 == 4 else "update"
+            rows.append(ev(seq, op, f"r{k % 3}", f"p{k}", f"c{seq}", "py", f"v{seq}"))
+        lake.apply_window(make_ds(rows), seq - 30, seq)
+    lake.compact(min_files=2)  # never unlinks: the deltas stay on disk
+    got = {
+        os.path.relpath(b, lake.dir)[: -len(".parquet.bloom.npz")]:
+            hashlib.sha256(open(b, "rb").read()).hexdigest()[:16]
+        for b in glob.glob(os.path.join(lake.dir, "part=*", "*.bloom.npz"))
+    }
+    assert got == {
+        "part=00000/base-00000004": "b46d1262a5e1a016",
+        "part=00000/delta-000000000000-000000000030": "44f7c54b8cf0c964",
+        "part=00000/delta-000000000030-000000000060": "02492529b0dc3ad2",
+        "part=00000/delta-000000000060-000000000090": "cdde9f6019b0e68b",
+        "part=00001/base-00000004": "ec1c453c837a85bc",
+        "part=00001/delta-000000000000-000000000030": "f6f8a734acada114",
+        "part=00001/delta-000000000030-000000000060": "d90abb2d0e498b87",
+        "part=00001/delta-000000000060-000000000090": "9df15a861bc3f3e0",
+    }
+
+
 def _full_replay(ledger_dir):
     """The ledger state replayed over its whole history through the
     same fold, checkpoint rows ignored (an unreachable time-travel bound
@@ -2342,6 +2378,18 @@ def _codecs(path: str) -> set[str]:
     }
 
 
+def _stat_cols(path: str) -> set[str]:
+    """Columns of one parquet file whose column chunks carry footer
+    statistics."""
+    md = pq.ParquetFile(path).metadata
+    return {
+        md.schema.column(c).name
+        for g in range(md.num_row_groups)
+        for c in range(md.num_columns)
+        if md.row_group(g).column(c).is_stats_set
+    }
+
+
 def _entry_files(entry: dict) -> list[str]:
     """Files a compact or split ledger row wrote."""
     if entry["kind"] == "split":
@@ -2356,7 +2404,9 @@ def _entry_files(entry: dict) -> list[str]:
 def test_every_lake_write_path_is_zstd(ray_session, tmp_path):
     """Window deltas, full folds, tiered folds, stall-fallback folds,
     split children and clustered chunks all go through one writer, and
-    every column chunk of every file it writes is zstd."""
+    every column chunk of every file it writes is zstd. Only commit_seq,
+    the key columns and stats_cols carry Parquet statistics; every other
+    column carries none."""
     import random
 
     rnd = random.Random(21)
@@ -2407,16 +2457,20 @@ def test_every_lake_write_path_is_zstd(ray_session, tmp_path):
     written["clustered chunk"] = chunks
     for path, files in written.items():
         zstd(files)
+    zone = {"commit_seq", "repo", "path", "commit"}
+    for rel in {f for files in written.values() for f in files}:
+        assert _stat_cols(os.path.join(lake.dir, rel)) == zone, rel
+    for f in (f for fs in lake.live_files().values() for f in fs):
+        assert _stat_cols(f) == zone, f
 
 
-def test_mixed_codec_lake_reads_identically_and_compacts_to_zstd(
-    ray_session, tmp_path, monkeypatch
-):
-    """Parquet records the codec per column chunk, so a lake whose first
-    windows were written snappy (by older code) reads, looks up and
-    range-scans exactly like an all-zstd twin, with the same zone-map
-    and Bloom skips; its next compaction rewrites them as zstd."""
-    import jitsu_ray.sinks.lake as lake_mod
+def test_mixed_codec_lake_reads_identically_and_compacts_to_zstd(ray_session, tmp_path):
+    """Parquet records the codec and the statistics per column chunk, so
+    a lake whose first windows were written by older code (snappy, then
+    zstd, both with statistics on every column) reads, looks up,
+    range-scans and reports max_row_seq exactly like a twin written in
+    the current format, with the same zone-map and Bloom skips; its next
+    compaction rewrites them as zstd with zone-column statistics only."""
 
     def build(name):
         lake = LakeTable.create(
@@ -2436,29 +2490,24 @@ def test_mixed_codec_lake_reads_identically_and_compacts_to_zstd(
         return lake
 
     mixed, twin = build("mixed"), build("twin")
-    old = [
-        f for e in mixed.ledger.entries()[:2] if e["kind"] == "window"
-        for f in e["files"].items()
-    ]
-    assert old
-    # rewrite the first two windows through the lake writer as snappy,
-    # at the same paths: the shape of a lake written before zstd
-    monkeypatch.setattr(lake_mod, "_LAKE_PARQUET", {"compression": "snappy"})
-    for part, rel in old:
-        path = os.path.join(mixed.dir, rel)
-        lake_mod._write_lake_files(
-            pq.read_table(path), mixed.dir, int(part),
-            os.path.basename(rel)[: -len(".parquet")],
-            mixed.key_cols, mixed.key_cols + mixed.stats_cols,
-        )
-    monkeypatch.undo()
-    codecs = {
-        rel: _codecs(f)
-        for fs in mixed.live_files().values() for f in fs
-        for rel in [os.path.relpath(f, mixed.dir)]
-    }
-    assert {rel for rel, c in codecs.items() if c == {"SNAPPY"}} == {r for _, r in old}
-    assert {rel for rel, c in codecs.items() if c == {"ZSTD"}} == set(codecs) - {r for _, r in old}
+    # rewrite the first two windows at the same paths with pyarrow's
+    # default statistics (every column): window 0 snappy, the format
+    # before zstd; window 1 zstd, the format before this one. Their
+    # Bloom sidecars depend on the keys only and stay as they are.
+    old = {}
+    for e, codec in zip(mixed.ledger.entries()[:2], ["snappy", "zstd"]):
+        assert e["kind"] == "window"
+        for rel in e["files"].values():
+            path = os.path.join(mixed.dir, rel)
+            pq.write_table(pq.read_table(path), path, compression=codec)
+            old[rel] = codec.upper()
+    assert set(old.values()) == {"SNAPPY", "ZSTD"}
+    zone = {"commit_seq", "repo", "path", "commit"}
+    for fs in mixed.live_files().values():
+        for f in fs:
+            rel = os.path.relpath(f, mixed.dir)
+            assert _codecs(f) == {old.get(rel, "ZSTD")}, rel
+            assert _stat_cols(f) == (set(pq.read_schema(f).names) if rel in old else zone)
 
     def views(lake):
         keys = [{"repo": "r0050", "path": "f.py"}, {"repo": "r0250", "path": "f.py"},
@@ -2466,21 +2515,24 @@ def test_mixed_codec_lake_reads_identically_and_compacts_to_zstd(
         got = sorted(map(str, lake.lookup(keys).to_pylist()))
         st = dict(lake.last_lookup_stats)
         band = sorted(map(str, lake.scan_range("commit", "00120", "00180").take_all()))
-        return got, st, band, dict(lake.last_scan_stats)
+        return got, st, band, dict(lake.last_scan_stats), lake.max_row_seq()
 
     assert _state(mixed) == _state(twin)
-    got, st, band, sst = views(mixed)
-    assert (got, st, band, sst) == views(twin)
+    got, st, band, sst, hi = views(mixed)
+    assert (got, st, band, sst, hi) == views(twin)
+    assert hi == 900
     assert st["files_zone_skipped"] + st["files_bloom_skipped"] > 0
     assert sst["files_full"] < sst["files_total"]
     entry = mixed.compact(min_files=2)
-    assert {r for _, r in old} <= {
+    assert set(old) <= {
         f for info in entry["parts"].values() for f in info["replaces"]
     }
     for fs in mixed.live_files().values():
         for f in fs:
             assert _codecs(f) == {"ZSTD"}
+            assert _stat_cols(f) == zone
     assert _state(mixed) == _state(twin)
+    assert mixed.max_row_seq() == 900
 
 
 def _fixed_point_lake(path: str):
@@ -3047,6 +3099,21 @@ def test_replica_unhealable_high_seq_stray_raises(ray_session, tmp_path):
     dst2.apply_window(make_ds([ev(50, "delete", "r1", "a")]), 2, 4, force=True)
     with pytest.raises(ValueError, match="recreate"):
         replicate(src, dst2, resync=True)
+
+
+def test_max_row_seq_reads_column_when_footer_lacks_stats(ray_session, tmp_path):
+    """A live file whose footer has no commit_seq statistics (another
+    writer's, written with write_statistics=False) must not make
+    max_row_seq too low: that file's commit_seq column is read."""
+    lake = LakeTable.create(str(tmp_path / "lake"), ["repo", "path"], 1)
+    lake.apply_window(make_ds([ev(1, "insert", "r1", "a", "c1", "py", "v1")]), 0, 2)
+    lake.apply_window(make_ds([ev(100, "insert", "rX", "b", "c1", "py", "v")]), 2, 4)
+    assert lake.max_row_seq() == 100
+    [planted] = lake.ledger.entries()[-1]["files"].values()
+    path = os.path.join(lake.dir, planted)
+    pq.write_table(pq.read_table(path), path, write_statistics=False)
+    assert not _stat_cols(path)
+    assert lake.max_row_seq() == 100
 
 
 def test_resolve_tie_path_survives_pos_column_collision(ray_session):
