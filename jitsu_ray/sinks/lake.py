@@ -139,6 +139,24 @@ PART_COL = "__part"
 TOMBSTONE = "delete"
 
 
+def parquet_seq_bounds(path: str) -> tuple[int, int] | None:
+    """(min, max) ``commit_seq`` of one parquet file from its footer
+    statistics — no data scan — or None when it holds no rows. Fails
+    safe: when any row group lacks commit_seq min/max (a file from
+    another writer, or one written without statistics), the file's
+    commit_seq column is read instead, so the bounds are never too
+    narrow and the file is never dropped."""
+    with pq.ParquetFile(path) as pf:
+        md = pf.metadata
+        idx = md.schema.to_arrow_schema().get_field_index(SEQ_COL)
+        stats = [md.row_group(rg).column(idx).statistics for rg in range(md.num_row_groups)]
+        if stats and all(st is not None and st.has_min_max for st in stats):
+            return min(st.min for st in stats), max(st.max for st in stats)
+        mm = pc.min_max(pf.read(columns=[SEQ_COL])[SEQ_COL])
+    lo, hi = mm["min"].as_py(), mm["max"].as_py()
+    return None if lo is None else (lo, hi)
+
+
 def resolve_arrow(tbl: pa.Table, key_cols: list[str]) -> pa.Table:
     """Read-side resolution: per-key LWW winners with tombstones dropped."""
     if tbl.num_rows == 0:
@@ -233,13 +251,29 @@ def _drop_old_tombstones(tbl: pa.Table, watermark: int) -> pa.Table:
     return tbl.filter(pc.invert(drop))
 
 
-# Codec of every lake data file. On-disk bytes are what write and
-# space amplification count: on a 100k-event window of generated source
-# files, zstd-1 writes 2.5x fewer bytes than pyarrow's default snappy
-# (2.95 vs 7.34 MB) at ~15% lower write speed and reads faster; zstd-3
-# saves another 22% of bytes but writes ~25% slower than snappy.
-# Parquet records the codec per column chunk, so a lake mixing older
-# snappy files with zstd ones reads as it is.
+# Codec and encoding of every lake data file. On-disk bytes are what
+# write and space amplification count. Parquet compresses each page on
+# its own, so the format decides how far back zstd can find a repeat:
+#
+# * zstd level 3, not 1: level 1's small match tables miss most repeats
+#   between rows of source-code text (-22% bytes on large files from
+#   the level alone). Levels 4 and 5 were no smaller; 5 was larger.
+# * plain encoding, no dictionary: ``content`` values are nearly all
+#   unique, so a dictionary page holds the same bytes as the data and
+#   splits the chunk in two streams the compressor sees apart.
+# * data pages of 8 MB, larger than zstd-3's ~2 MB window, so a column
+#   chunk is compressed as one stream; 4, 16 and 64 MB gave the same
+#   bytes, pyarrow's default 1 MB restarts the compressor per page.
+#
+# Against zstd-1 with dictionaries and 1 MB pages, on the seed-42
+# changelog: 100k-event window deltas -24% bytes, compacted bases -33%,
+# 1k-event tail deltas -8%; write time stays within run-to-run noise
+# and full-file reads of large files are ~23% faster. The
+# generated ``content`` joins 1-6 fragments from a pool of 512, so
+# rows repeat each other more than real source code does, and real
+# corpora will gain less. Parquet records codec and encoding per column
+# chunk, so a lake mixing older files (snappy, zstd-1, dictionaries)
+# with these reads as it is, and its next compaction rewrites them.
 #
 # Footer statistics are written only for ``commit_seq`` and the zone-map
 # columns (``_write_lake_files``): file pruning comes from the ledger's
@@ -248,13 +282,20 @@ def _drop_old_tombstones(tbl: pa.Table, watermark: int) -> pa.Table:
 # columns were ~25% of a small window delta's bytes (a ``content`` bound
 # alone is ~1.2 kB, stored in the column chunk AND each page header).
 # Files written earlier with full statistics read as they are.
-_LAKE_PARQUET = {"compression": "zstd", "compression_level": 1}
+_LAKE_PARQUET = {
+    "compression": "zstd",
+    "compression_level": 3,
+    "use_dictionary": False,
+    "data_page_size": 8 << 20,
+}
 
 # maintain() splits a partition into ceil(bytes * headroom / budget)
 # children: small zstd children compress worse than their parent and
 # hashing spreads keys unevenly, so without headroom some land over the
 # budget and the next pass splits them again. 1.5 was fitted on one
-# lake; the penalty is unbounded, so it is a margin, not a guarantee.
+# lake at zstd-1 and still holds in the zstd-3 plain format (that
+# lake's largest child went from 79% to 71% of the budget); the penalty
+# is unbounded, so it is a margin, not a guarantee.
 _SPLIT_HEADROOM = 1.5
 
 
@@ -268,8 +309,9 @@ def _write_lake_files(
     cluster_by: list[str] | None = None,
     rows_per_chunk: float | None = None,
 ) -> list[dict]:
-    """Write one RESOLVED table (one row per key) as zstd lake file(s)
-    (``_LAKE_PARQUET``) under ``part=<part>/`` and return one ledger
+    """Write one RESOLVED table (one row per key) as lake file(s) —
+    zstd-3, plain-encoded, one page per column chunk up to 8 MB
+    (``_LAKE_PARQUET``) — under ``part=<part>/`` and return one ledger
     info per file — the single writer behind window deltas, compaction
     folds and split children. Each file is written tmp+replace at a
     deterministic path (a retry converges), gets its key Bloom sidecar,
@@ -916,21 +958,10 @@ class LakeTable:
         count is bounded by compaction, and a heal is a rare manual
         event; not for hot paths. A file with a row group whose footer
         lacks commit_seq bounds (another writer's) has its commit_seq
-        column read instead, so the result is never too low."""
-        hi = 0
-        for files in self.live_files().values():
-            for f in files:
-                with pq.ParquetFile(f) as pf:
-                    md = pf.metadata
-                    idx = md.schema.to_arrow_schema().get_field_index(SEQ_COL)
-                    stats = [md.row_group(rg).column(idx).statistics
-                             for rg in range(md.num_row_groups)]
-                    if all(st is not None and st.has_min_max for st in stats):
-                        hi = max([hi, *(st.max for st in stats)])
-                    else:
-                        col = pf.read(columns=[SEQ_COL])[SEQ_COL]
-                        hi = max(hi, pc.max(col).as_py() or 0)
-        return hi
+        column read instead (``parquet_seq_bounds``), so the result is
+        never too low."""
+        bounds = [parquet_seq_bounds(f) for fs in self.live_files().values() for f in fs]
+        return max([0, *(b[1] for b in bounds if b)])
 
     def read(
         self, columns: list[str] | None = None, as_of: int | None = None
@@ -1729,9 +1760,10 @@ class LakeTable:
     ) -> dict:
         """ONE policy-driven maintenance pass — the operational loop a
         long-running lake schedules instead of hand-picking mechanisms.
-        Both byte budgets count compressed ON-DISK bytes (zstd files,
-        ``_LAKE_PARQUET``), so a partition holds about 2.5x more rows
-        of source-code text before it splits than it did as snappy:
+        Both byte budgets count compressed ON-DISK bytes (zstd-3 plain
+        files, ``_LAKE_PARQUET``), so a partition holds about 3.3x more
+        rows of generated source-code text before it splits than it did
+        as snappy (real text, with fewer repeats, somewhat less):
 
         1. SPLIT every active partition whose live bytes exceed
            ``max_partition_bytes`` (factor = ceil(bytes *

@@ -2390,6 +2390,18 @@ def _stat_cols(path: str) -> set[str]:
     }
 
 
+def _dict_cols(path: str) -> set[str]:
+    """Columns of one parquet file with a dictionary-encoded column
+    chunk."""
+    md = pq.ParquetFile(path).metadata
+    return {
+        md.schema.column(c).name
+        for g in range(md.num_row_groups)
+        for c in range(md.num_columns)
+        if {"PLAIN_DICTIONARY", "RLE_DICTIONARY"} & set(md.row_group(g).column(c).encodings)
+    }
+
+
 def _entry_files(entry: dict) -> list[str]:
     """Files a compact or split ledger row wrote."""
     if entry["kind"] == "split":
@@ -2404,9 +2416,9 @@ def _entry_files(entry: dict) -> list[str]:
 def test_every_lake_write_path_is_zstd(ray_session, tmp_path):
     """Window deltas, full folds, tiered folds, stall-fallback folds,
     split children and clustered chunks all go through one writer, and
-    every column chunk of every file it writes is zstd. Only commit_seq,
-    the key columns and stats_cols carry Parquet statistics; every other
-    column carries none."""
+    every column chunk of every file it writes is zstd and carries no
+    dictionary encoding. Only commit_seq, the key columns and stats_cols
+    carry Parquet statistics; every other column carries none."""
     import random
 
     rnd = random.Random(21)
@@ -2460,17 +2472,57 @@ def test_every_lake_write_path_is_zstd(ray_session, tmp_path):
     zone = {"commit_seq", "repo", "path", "commit"}
     for rel in {f for files in written.values() for f in files}:
         assert _stat_cols(os.path.join(lake.dir, rel)) == zone, rel
+        assert _dict_cols(os.path.join(lake.dir, rel)) == set(), rel
     for f in (f for fs in lake.live_files().values() for f in fs):
         assert _stat_cols(f) == zone, f
+        assert _dict_cols(f) == set(), f
+
+
+def test_lake_files_smaller_than_previous_format(tmp_path):
+    """Byte guard for the lake file format: the resolved 16-partition
+    tables of one 100k-event window of generated source files, written
+    by ``_write_lake_files``, take at most 0.8x the bytes of the same
+    tables in the previous format (zstd-1, dictionary encoding,
+    pyarrow's default 1 MB pages, the same statistics)."""
+    import numpy as np
+
+    from jitsu_ray.sinks.lake import PART_COL, SEQ_COL, _write_lake_files, resolve_keep_tombstones
+    from jitsu_ray.testgen import gen_changelog
+    from jitsu_ray.util import hash_route_column, pad_and_cast
+
+    keys = ["repo", "path"]
+    lake = LakeTable.create(str(tmp_path / "lake"), keys, 16)
+    target = pa.schema([
+        *lake.full_arrow_schema(),
+        *(pa.field(c, pa.large_string()) for c in ("commit", "lang", "content")),
+    ])
+    tbl = pad_and_cast(gen_changelog(n_events=100_000, n_repos=100, seed=42), target)
+    tbl = tbl.set_column(0, PART_COL, hash_route_column(tbl, keys, 16, []))
+    tbl = resolve_keep_tombstones(tbl, keys)
+    pvals = tbl[PART_COL].to_numpy()
+    new = old = 0
+    for p in range(16):
+        part = tbl.take(np.nonzero(pvals == p)[0])
+        [info] = _write_lake_files(part, str(tmp_path / "new"), p, "t", keys, [SEQ_COL, *keys])
+        assert info["rows"] == part.num_rows > 0
+        new += info["bytes"]
+        prev = str(tmp_path / f"prev-{p}.parquet")
+        pq.write_table(part.combine_chunks(), prev, write_statistics=[SEQ_COL, *keys],
+                       compression="zstd", compression_level=1)
+        assert "content" in _dict_cols(prev)
+        old += os.path.getsize(prev)
+    assert new <= 0.8 * old, (new, old)
 
 
 def test_mixed_codec_lake_reads_identically_and_compacts_to_zstd(ray_session, tmp_path):
-    """Parquet records the codec and the statistics per column chunk, so
-    a lake whose first windows were written by older code (snappy, then
-    zstd, both with statistics on every column) reads, looks up,
-    range-scans and reports max_row_seq exactly like a twin written in
-    the current format, with the same zone-map and Bloom skips; its next
-    compaction rewrites them as zstd with zone-column statistics only."""
+    """Parquet records the codec, the encodings and the statistics per
+    column chunk, so a lake whose first windows were written by older
+    code (snappy, then zstd, both with statistics on every column, then
+    zstd-1 with statistics on the zone columns only — all three with
+    dictionary encoding) reads, looks up, range-scans and reports
+    max_row_seq exactly like a twin written in the current format, with
+    the same zone-map and Bloom skips; its next compaction rewrites them
+    as zstd without dictionaries, with zone-column statistics only."""
 
     def build(name):
         lake = LakeTable.create(
@@ -2490,24 +2542,32 @@ def test_mixed_codec_lake_reads_identically_and_compacts_to_zstd(ray_session, tm
         return lake
 
     mixed, twin = build("mixed"), build("twin")
-    # rewrite the first two windows at the same paths with pyarrow's
-    # default statistics (every column): window 0 snappy, the format
-    # before zstd; window 1 zstd, the format before this one. Their
-    # Bloom sidecars depend on the keys only and stay as they are.
+    zone = {"commit_seq", "repo", "path", "commit"}
+    # rewrite the three data windows at the same paths in the earlier
+    # formats: window 0 snappy, the format before zstd; window 1 zstd
+    # with pyarrow's default statistics on every column, the format
+    # before zone-only statistics; window 2 zstd-1 with zone-column
+    # statistics, the format before plain encoding. Their Bloom
+    # sidecars depend on the keys only and stay as they are.
+    formats = [
+        {"compression": "snappy"},
+        {"compression": "zstd"},
+        {"compression": "zstd", "compression_level": 1, "write_statistics": sorted(zone)},
+    ]
     old = {}
-    for e, codec in zip(mixed.ledger.entries()[:2], ["snappy", "zstd"]):
+    for e, fmt in zip(mixed.ledger.entries()[:3], formats):
         assert e["kind"] == "window"
         for rel in e["files"].values():
             path = os.path.join(mixed.dir, rel)
-            pq.write_table(pq.read_table(path), path, compression=codec)
-            old[rel] = codec.upper()
-    assert set(old.values()) == {"SNAPPY", "ZSTD"}
-    zone = {"commit_seq", "repo", "path", "commit"}
+            pq.write_table(pq.read_table(path), path, **fmt)
+            old[rel] = fmt
     for fs in mixed.live_files().values():
         for f in fs:
             rel = os.path.relpath(f, mixed.dir)
-            assert _codecs(f) == {old.get(rel, "ZSTD")}, rel
-            assert _stat_cols(f) == (set(pq.read_schema(f).names) if rel in old else zone)
+            fmt = old.get(rel, {"compression": "zstd", "write_statistics": zone})
+            assert _codecs(f) == {fmt["compression"].upper()}, rel
+            assert _stat_cols(f) == set(fmt.get("write_statistics", pq.read_schema(f).names))
+            assert bool(_dict_cols(f)) == (rel in old), rel
 
     def views(lake):
         keys = [{"repo": "r0050", "path": "f.py"}, {"repo": "r0250", "path": "f.py"},
@@ -2531,6 +2591,7 @@ def test_mixed_codec_lake_reads_identically_and_compacts_to_zstd(ray_session, tm
         for f in fs:
             assert _codecs(f) == {"ZSTD"}
             assert _stat_cols(f) == zone
+            assert _dict_cols(f) == set()
     assert _state(mixed) == _state(twin)
     assert mixed.max_row_seq() == 900
 
@@ -2637,27 +2698,37 @@ def test_maintain_reaches_fixed_point(ray_session, tmp_path, split, cluster_by, 
     assert _state(lake) == before
 
 
-def test_clustered_compaction_churn_stops(ray_session, tmp_path):
-    """The churn repro: one partition, six 500-event windows of
-    generated source files, then four tiered clustered compactions at
-    a 40 kB budget. Chunks are cut in the on-disk bytes tiering counts
-    and a chunk run is one tier unit, so passes 1-3 write nothing and
-    no pass raises the file count (cut in Arrow bytes, every pass
-    rewrote the same chunk files)."""
+def _churn_lake(path: str):
+    """One partition, six 500-event windows of generated source files,
+    clustered on ``repo``; returns the lake and its window file sizes."""
     import ray.data
 
     from jitsu_ray.testgen import gen_changelog
 
     tbl = gen_changelog(n_events=17_000, n_repos=100, seed=42).slice(0, 3000)
-    lake = LakeTable.create(
-        str(tmp_path / "lake"), ["repo", "path"], 1, stats_cols=["repo"]
-    )
+    lake = LakeTable.create(path, ["repo", "path"], 1, stats_cols=["repo"])
     for w in range(6):
         lake.apply_window(ray.data.from_arrow(tbl.slice(w * 500, 500)),
                           w * 500, w * 500 + 500)
+    return lake, [os.path.getsize(f) for f in lake.live_files()[0]]
+
+
+def test_clustered_compaction_churn_stops(ray_session, tmp_path):
+    """The churn repro: four tiered clustered compactions at a budget
+    just under half the tightest adjacent window pair, so every tier is
+    a singleton and the stall fallback has no pair it may fold without
+    raising the file count. Chunks are cut in the on-disk bytes tiering
+    counts and a chunk run is one tier unit, so passes 1-3 write nothing
+    and no pass raises the file count (cut in Arrow bytes, every pass
+    rewrote the same chunk files). The budget is derived from the
+    written sizes, so the premise holds under any file format."""
+    lake, sizes = _churn_lake(str(tmp_path / "lake"))
+    pairs = [a + b for a, b in zip(sizes, sizes[1:])]
+    budget = (min(pairs) - 1) // 2
+    assert all(b > 2 * budget for b in pairs), (sizes, budget)
     counts = [len(lake.live_files()[0])]
     for i in range(4):
-        entry = lake.compact(min_files=2, cluster_by=["repo"], max_input_bytes=40_000)
+        entry = lake.compact(min_files=2, cluster_by=["repo"], max_input_bytes=budget)
         written = sum(
             os.path.getsize(os.path.join(lake.dir, f)) for f in _entry_files(entry)
         ) if entry["parts"] else 0
@@ -2665,6 +2736,28 @@ def test_clustered_compaction_churn_stops(ray_session, tmp_path):
             assert written == 0
         counts.append(len(lake.live_files()[0]))
         assert counts[-1] <= counts[-2]
+
+
+def test_clustered_compaction_converges_at_fixed_budget(ray_session, tmp_path):
+    """The same lake at a fixed 40 kB budget, which lets the stall
+    fallback fold some adjacent pairs (how many depends on the file
+    format): repeated tiered clustered compactions never raise the file
+    count, and a pass that commits nothing comes within the number of
+    live files at the start, and writes no file."""
+    import glob as _glob
+
+    lake, sizes = _churn_lake(str(tmp_path / "lake"))
+    counts = [len(sizes)]
+    for _ in range(len(sizes)):
+        on_disk = set(_glob.glob(os.path.join(lake.dir, "part=*", "*.parquet")))
+        entry = lake.compact(min_files=2, cluster_by=["repo"], max_input_bytes=40_000)
+        counts.append(len(lake.live_files()[0]))
+        assert counts[-1] <= counts[-2], counts
+        if not entry["parts"]:
+            assert set(_glob.glob(os.path.join(lake.dir, "part=*", "*.parquet"))) == on_disk
+            break
+    else:
+        pytest.fail(f"no fixed point within {len(sizes)} passes: file counts {counts}")
 
 
 def test_vacuum_retention_grace_window(ray_session, tmp_path):

@@ -65,6 +65,30 @@ def test_replay_matches_oracle(ray_session, tmp_path):
     }
 
 
+def test_replay_reads_changelog_file_without_seq_stats(ray_session, tmp_path):
+    """A change-log file written without parquet statistics (another
+    writer's) still bounds the log and is replayed: its commit_seq
+    column is read instead of being skipped, so the replay reaches the
+    oracle state rather than stopping at the last file with stats."""
+    import pyarrow.parquet as pq
+
+    tbl = gen_changelog(n_events=2000, n_repos=10, seed=23)
+    log = str(tmp_path / "log")
+    first, second = write_changelog(log, tbl, rows_per_file=1000)
+    pq.write_table(pq.read_table(second), second, write_statistics=False)
+    md = pq.ParquetFile(second).metadata
+    assert not md.row_group(0).column(0).is_stats_set
+    assert changelog_max_seq(log) == 2000
+
+    lake, metrics = replay_changelog(
+        log, str(tmp_path / "lake"), num_partitions=4, window_size=700
+    )
+    assert lake.last_committed_hi() == 2000
+    assert metrics["events"] == 2000
+    got = state_fingerprint(lake.read().take_all())
+    assert got == state_fingerprint(oracle_final_state(tbl).to_pylist())
+
+
 def test_resume_equivalence(ray_session, tmp_path):
     # FIXTURES.md resume.parquet analog: kill after window 2, restart,
     # final state byte-identical to the uninterrupted run.
