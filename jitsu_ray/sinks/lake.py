@@ -54,6 +54,7 @@ Scale notes (the 100 TB design points):
 
 from __future__ import annotations
 
+import itertools
 import json
 import math
 import os
@@ -95,6 +96,27 @@ def _bounded_runs(items, sizes: list[float], budget: float) -> list[list]:
     if cur:
         runs.append(cur)
     return runs
+
+
+# On-disk bytes one read task resolves. ``read``, ``scan_range``,
+# ``diff_as_of`` and ``lookup`` pack whole partitions, in partition
+# order, into runs of at most this many bytes (``_read_runs``); a larger
+# partition is a run of its own and reads as one task, as before. At the
+# ~3.4x zstd expansion measured on ``content``, 32 MiB keeps a task's
+# decompressed output under Ray Data's 128 MiB ``target_max_block_size``.
+# There is deliberately no CPU-count floor: a small lake reads in one
+# task, because splitting a few MB across workers costs a second worker
+# process more than the bytes (Delta Lake bin-packs small files for the
+# same reason).
+_READ_TASK_BYTES = 32 << 20
+
+
+def _read_runs(units: list, files: list[list[str]]) -> list[list]:
+    """Pack read ``units`` (one per partition, in partition order) into
+    runs of at most ``_READ_TASK_BYTES`` on-disk bytes, ``files[i]``
+    being the files unit ``i`` reads."""
+    sizes = [sum(os.path.getsize(f) for f in fs) for fs in files]
+    return _bounded_runs(units, sizes, _READ_TASK_BYTES)
 
 
 _CHUNK_RE = re.compile(r"-c\d{3,}\.parquet$")  # a clustered fold's chunk file
@@ -514,6 +536,161 @@ def _fold_child(
     return _fold_and_write(tbl, child, stem, watermark, layout, in_bytes)
 
 
+def _read_partition(
+    files: list[str], narrow: list[bool], target: pa.Schema, cols: list[str],
+    narrow_cols: list[str],
+) -> pa.Table:
+    """One partition's files as one table of ``cols``, in ledger order
+    (the LWW tie order). A file flagged ``narrow`` contributes only
+    ``narrow_cols``, its other columns NULL; each run of consecutive
+    files with one column set is one parquet scan."""
+    tables = []
+    for is_narrow, grp in itertools.groupby(zip(files, narrow), key=lambda fn: fn[1]):
+        t = pq.ParquetDataset([f for f, _ in grp], schema=target).read(
+            columns=narrow_cols if is_narrow else cols
+        )
+        tables.append(
+            pa.table(
+                {
+                    c: t[c] if c in t.column_names else pa.nulls(t.num_rows, target.field(c).type)
+                    for c in cols
+                }
+            )
+        )
+    return pa.concat_tables(tables)
+
+
+def _resolve_runs(
+    batch: pa.Table, target: pa.Schema, key_cols: list[str], cols: list[str],
+    out_cols: list[str], narrow_cols: list[str], rng: tuple | None,
+) -> pa.Table:
+    """``read``/``scan_range``'s map function. Each row of ``batch`` is
+    one run of whole partitions; each partition is read
+    (``_read_partition``) and LWW-resolved on its own, then, for a range
+    scan, filtered to ``rng = (col, lo, hi)`` (NULL never matches).
+    Partitions come out in run order."""
+    tables = []
+    for run in batch["parts"].to_pylist():
+        for part in run:
+            t = resolve_arrow(
+                _read_partition(part["files"], part["narrow"], target, cols, narrow_cols),
+                key_cols,
+            )
+            if rng is not None:
+                col, lo, hi = rng
+                keep = pc.and_kleene(pc.greater_equal(t[col], lo), pc.less_equal(t[col], hi))
+                t = t.filter(pc.fill_null(keep, False))
+            tables.append(t.select(out_cols))
+    return pa.concat_tables(tables)
+
+
+def _diff_runs(
+    batch: pa.Table, target: pa.Schema, key_cols: list[str], cols: list[str],
+    out_cols: list[str], payload: list[str], base: int, splits_b: list,
+    include_old: bool, out_schema: pa.Schema,
+) -> pa.Table:
+    """``diff_as_of``'s map function. Each row of ``batch`` is one run of
+    diff units: an a-state file list (a parent's, when ``route_a``) and
+    the b-children diffed against it. The a-state is read and
+    LWW-resolved ONCE per unit, then sliced per child by b-topology
+    routing."""
+
+    def load(files) -> pa.Table:
+        t = pq.ParquetDataset(files, schema=target).read(columns=cols)
+        return resolve_arrow(t, key_cols)
+
+    state_schema = pa.schema([target.field(c) for c in out_cols])
+    outs = []
+    for run in batch["units"].to_pylist():
+        for unit in run:
+            ra = load(unit["files_a"]) if unit["files_a"] else None
+            ids = (
+                hash_route_column(ra, key_cols, base, splits_b)
+                if ra is not None and unit["route_a"]
+                else None
+            )
+            for child in unit["children"]:
+                if ra is None:
+                    da = pl.from_arrow(state_schema.empty_table())
+                elif ids is not None:
+                    da = pl.from_arrow(
+                        ra.filter(pc.equal(ids, child["part"])).select(out_cols)
+                    )
+                else:
+                    da = pl.from_arrow(ra.select(out_cols))
+                db = (
+                    pl.from_arrow(load(child["files_b"]).select(out_cols))
+                    if child["files_b"]
+                    else pl.from_arrow(state_schema.empty_table())
+                )
+                outs.append(
+                    _diff_states(da, db, key_cols, payload, include_old).cast(out_schema)
+                )
+    return pa.concat_tables(outs) if outs else out_schema.empty_table()
+
+
+def _diff_states(
+    da: pl.DataFrame, db: pl.DataFrame, key_cols: list[str], payload: list[str],
+    include_old: bool,
+) -> pa.Table:
+    """One partition's diff of two resolved states (``diff_as_of``)."""
+    da = da.with_columns(pl.lit(True).alias("__a"))
+    db = db.with_columns(pl.lit(True).alias("__b"))
+    # nulls_equal: a null-keyed row present unchanged in both states
+    # must JOIN (and emit nothing), not split into a same-seq
+    # delete+insert pair whose LWW tie a downstream replication apply
+    # resolves nondeterministically
+    j = da.join(db, on=key_cols, how="full", suffix="__b", coalesce=True, nulls_equal=True)
+    in_a = pl.col("__a").fill_null(False)
+    in_b = pl.col("__b").fill_null(False)
+    changed = (
+        pl.any_horizontal([pl.col(c).ne_missing(pl.col(f"{c}__b")) for c in payload])
+        if payload
+        else pl.lit(False)
+    )
+    j = j.with_columns(
+        pl.when(~in_a)
+        .then(pl.lit("insert"))
+        .when(~in_b)
+        .then(pl.lit("delete"))
+        .when(changed)
+        .then(pl.lit("update"))
+        .otherwise(pl.lit(None, pl.String))
+        .alias("change")
+    ).filter(pl.col("change").is_not_null())
+    if include_old:
+        # new values plain (a-side nulls for delete come from the
+        # join), old values as <c>__old siblings
+        vals = [pl.col(f"{c}__b").alias(c) for c in payload] + [
+            pl.col(c).alias(f"{c}__old") for c in payload
+        ]
+    else:
+        vals = [
+            pl.when(pl.col("change") == "delete")
+            .then(pl.col(c))
+            .otherwise(pl.col(f"{c}__b"))
+            .alias(c)
+            for c in payload
+        ]
+    return j.select([*key_cols, *vals, "change"]).to_arrow()
+
+
+def _tombstones_for(
+    batch: pa.Table, predicate, key_cols: list[str], seq: int
+) -> pa.Table:
+    """``delete_where``'s map function: one tombstone at ``seq`` per row
+    of ``batch`` that ``predicate`` (a ``pa.Table -> bool mask``) keeps."""
+    keys = batch.filter(predicate(batch)).select(key_cols)
+    n = keys.num_rows
+    cols = {
+        OP_COL: pa.array([TOMBSTONE] * n, pa.string()),
+        SEQ_COL: pa.array([seq] * n, pa.int64()),
+    }
+    for k in key_cols:
+        cols[k] = keys[k]
+    return pa.table(cols)
+
+
 @ray.remote(num_cpus=0)
 def _lookup_partition(
     files: list[str],
@@ -523,12 +700,13 @@ def _lookup_partition(
     key_cols: list[str],
     out_cols: list[str],
 ) -> pa.Table:
-    """One partition's pruned point lookup: read only the zone-map-kept
-    files, exact semi-join to the requested keys (polars, composite-key
-    safe), then LWW-resolve — resolution over just the key's own rows
-    equals global resolution because a key's versions all live here.
-    Zero-cpu: a handful of row-group reads, scheduled without starving
-    pipeline stages."""
+    """One run of partitions' pruned point lookup: read only the kept
+    files (zone map, Bloom sidecar; in partition order, each partition's
+    in ledger order), exact semi-join to the run's requested keys
+    (polars, composite-key safe), then LWW-resolve — resolution over just
+    the keys' own rows equals global resolution because all of a key's
+    versions live in its one partition. Zero-cpu: a handful of row-group
+    reads, scheduled without starving pipeline stages."""
     t = pq.ParquetDataset(files, schema=target).read(columns=phys_cols)
     hit = (
         pl.from_arrow(t)
@@ -875,6 +1053,11 @@ class LakeTable:
             fn_kwargs={"target": target, "key_cols": key_cols,
                        "num_parts": num_parts, "splits": splits},
         )
+        # blocks in input order: a fold concatenates them in ref order,
+        # and that order is the equal-seq tie order and the row order of
+        # the files written; Ray Data otherwise emits blocks as their
+        # tasks finish, so a retried window could write other bytes
+        prepped.context.execution_options.preserve_order = True
         # Exchange (module docstring): collect the prepped block refs as
         # they materialize, then one stateless fold task per group reads
         # every block and keeps its own rows. A failure anywhere raises
@@ -966,10 +1149,12 @@ class LakeTable:
     def read(
         self, columns: list[str] | None = None, as_of: int | None = None
     ) -> "ray.data.Dataset":
-        """Resolved view of the table as a streaming Dataset — one task
-        per partition, NO shuffle: a partition's base+delta files are
-        co-located by construction, so per-partition resolution equals
-        global resolution. Old files are null-padded / up-cast to the
+        """Resolved view of the table as a streaming Dataset, NO shuffle:
+        a partition's base+delta files are co-located by construction, so
+        per-partition resolution equals global resolution. Whole
+        partitions are packed into tasks of at most ``_READ_TASK_BYTES``
+        on-disk bytes (one task for a small lake), each resolving its
+        partitions one by one. Old files are null-padded / up-cast to the
         current reconciled schema by the parquet scanner (``schema=``).
 
         ``columns`` prunes at the read: only the requested payload
@@ -984,30 +1169,43 @@ class LakeTable:
         tag = None if as_of is None else f"time-travel as_of={as_of}"
         live = self._live_paths(self.ledger.state(as_of), tag)
         target = self.full_arrow_schema()
-        out_cols = [
-            f.name for f in target if f.name not in (PART_COL, OP_COL)
+        out_cols = self._out_cols(target, columns)
+        parts = [
+            {"files": fs, "narrow": [False] * len(fs)} for _, fs in sorted(live.items())
         ]
+        ds, _ = self._resolved_scan(parts, target, sorted({OP_COL, SEQ_COL, *out_cols}), out_cols)
+        return ds
+
+    def _out_cols(self, target: pa.Schema, columns: list[str] | None) -> list[str]:
+        """A read's output columns: ``columns`` (every payload column when
+        None) plus the key and ``commit_seq`` columns."""
+        out = [f.name for f in target if f.name not in (PART_COL, OP_COL)]
         if columns:
-            out_cols = [c for c in out_cols if c in columns or c in self.key_cols]
-        phys_cols = sorted({OP_COL, SEQ_COL, *self.key_cols, *out_cols})
-        if not live:
+            out = [c for c in out if c in columns or c in self.key_cols]
+        return out
+
+    def _resolved_scan(
+        self, parts: list[dict], target: pa.Schema, cols: list[str],
+        out_cols: list[str], rng: tuple | None = None,
+    ) -> tuple["ray.data.Dataset", int]:
+        """The Dataset of ``read`` and ``scan_range``, and its task count:
+        ``parts`` (one per partition, in partition order: its files and
+        their narrow flags) packed into byte-bounded runs, one Ray Data
+        item and one ``_resolve_runs`` call each."""
+        if not parts:
             empty = pa.schema([target.field(c) for c in out_cols]).empty_table()
-            return ray.data.from_arrow(empty)
-        key_cols = self.key_cols
-        items = [{"part": p, "files": fs} for p, fs in sorted(live.items())]
-
-        def load_partition(batch: pa.Table) -> pa.Table:
-            tables = []
-            for row in batch.to_pylist():
-                t = pq.ParquetDataset(row["files"], schema=target).read(
-                    columns=phys_cols
-                )
-                tables.append(resolve_arrow(t, key_cols).select(out_cols))
-            return pa.concat_tables(tables)
-
-        return ray.data.from_items(items).map_batches(
-            load_partition, batch_size=1, batch_format="pyarrow"
+            return ray.data.from_arrow(empty), 0
+        runs = _read_runs(parts, [p["files"] for p in parts])
+        ds = ray.data.from_items([{"parts": r} for r in runs]).map_batches(
+            _resolve_runs,
+            batch_size=1,
+            batch_format="pyarrow",
+            fn_kwargs=dict(
+                target=target, key_cols=self.key_cols, cols=cols, out_cols=out_cols,
+                narrow_cols=sorted({OP_COL, SEQ_COL, *self.key_cols}), rng=rng,
+            ),
         )
+        return ds, len(runs)
 
     def scan_range(
         self, col: str, lo, hi, columns: list[str] | None = None
@@ -1025,86 +1223,47 @@ class LakeTable:
         here: excluded files still contribute their (key, seq, op)
         columns — a narrow columnar read that skips the payload bytes —
         padded with NULL payload, so LWW resolution sees every version.
-        A winner padded from an excluded file then fails the residual
-        range filter, which is CORRECT: its true value is provably
-        outside the range (that is what its zone bounds excluded).
-        Files with no recorded bounds for ``col`` are read in full
-        (never pruned). ``self.last_scan_stats`` records files_full /
-        files_narrow for observability and tests."""
+        Every file is read in its ledger position with its own column
+        set, so equal-seq ties resolve as in ``read``. A winner padded
+        from an excluded file then fails the residual range filter,
+        which is CORRECT: its true value is provably outside the range
+        (that is what its zone bounds excluded). Files with no recorded
+        bounds for ``col`` are read in full (never pruned). Partitions
+        are packed into byte-bounded tasks as in ``read``.
+        ``self.last_scan_stats`` records files_total / files_full /
+        files_narrow / tasks for observability and tests."""
         st = self.ledger.state()
         live = self._live_paths(st)
-        stats = st.zones
         target = self.full_arrow_schema()
-        out_cols = [f.name for f in target if f.name not in (PART_COL, OP_COL)]
-        if columns:
-            out_cols = [c for c in out_cols if c in columns or c in self.key_cols]
-        phys_cols = sorted({OP_COL, SEQ_COL, col, *self.key_cols, *out_cols})
-        narrow_cols = sorted({OP_COL, SEQ_COL, *self.key_cols})
-        key_cols = self.key_cols
+        out_cols = self._out_cols(target, columns)
 
         def overlaps(f_abs: str) -> bool:
             rel = os.path.relpath(f_abs, self.dir)
-            mn, mx = stats.get(rel, {}).get(col, [None, None])
+            mn, mx = st.zones.get(rel, {}).get(col, [None, None])
             if mn is None:
                 return True  # no bounds recorded -> never prunable
             return not (mx < lo or mn > hi)
 
-        items = []
+        parts = []
         n_full = n_narrow = 0
         for p, fs in sorted(live.items()):
-            full, narrow = [], []
-            for f in fs:
-                (full if overlaps(f) else narrow).append(f)
-            if not full:
+            narrow = [not overlaps(f) for f in fs]
+            if all(narrow):
                 continue  # no in-range version can exist in this partition
-            n_full += len(full)
-            n_narrow += len(narrow)
-            items.append({"part": p, "full": full, "narrow": narrow})
+            n_narrow += sum(narrow)
+            n_full += len(fs) - sum(narrow)
+            parts.append({"files": fs, "narrow": narrow})
+        ds, tasks = self._resolved_scan(
+            parts, target, sorted({OP_COL, SEQ_COL, col, *out_cols}), out_cols,
+            (col, lo, hi),
+        )
         self.last_scan_stats = {
             "files_total": sum(len(fs) for fs in live.values()),
             "files_full": n_full,
             "files_narrow": n_narrow,
+            "tasks": tasks,
         }
-        out_schema = pa.schema(
-            [target.field(c) for c in out_cols]
-        )
-        if not items:
-            return ray.data.from_arrow(out_schema.empty_table())
-
-        def load_partition(batch: pa.Table) -> pa.Table:
-            tables = []
-            for row in batch.to_pylist():
-                parts = [
-                    pq.ParquetDataset(row["full"], schema=target)
-                    .read(columns=phys_cols)
-                    .select(phys_cols)
-                ]
-                if row["narrow"]:
-                    nt = pq.ParquetDataset(row["narrow"], schema=target).read(
-                        columns=narrow_cols
-                    )
-                    parts.append(
-                        pa.table(
-                            {
-                                c: nt[c]
-                                if c in nt.column_names
-                                else pa.nulls(nt.num_rows, target.field(c).type)
-                                for c in phys_cols
-                            }
-                        )
-                    )
-                t = resolve_arrow(pa.concat_tables(parts), key_cols)
-                keep = pc.and_kleene(
-                    pc.greater_equal(t[col], lo), pc.less_equal(t[col], hi)
-                )
-                tables.append(
-                    t.filter(pc.fill_null(keep, False)).select(out_cols)
-                )
-            return pa.concat_tables(tables)
-
-        return ray.data.from_items(items).map_batches(
-            load_partition, batch_size=1, batch_format="pyarrow"
-        )
+        return ds
 
     def _missing_files_error(self, tag: str, missing: list[str]) -> FileNotFoundError:
         """Build the precise time-travel error: name the ledger VACUUM
@@ -1153,24 +1312,27 @@ class LakeTable:
            resolution only needs the key's own rows — all of which
            live in its one partition.
 
+        The touched partitions' kept files are packed, in partition
+        order, into runs of at most ``_READ_TASK_BYTES`` on-disk bytes,
+        and each run is ONE ``_lookup_partition`` task over its files and
+        keys — one task for a small lake, however many partitions the
+        keys span.
+
         ``keys``: list[dict] or pa.Table holding exactly the key
         columns. Returns a pa.Table (point lookups are small by
         contract; use ``read()`` for scans). Tombstoned keys return no
         row. ``self.last_lookup_stats`` records files_total /
-        files_read / partitions_read for observability and tests."""
-        import polars as pl
-
+        files_read / partitions_read / tasks for observability and
+        tests."""
         if isinstance(keys, list):
             keys = pa.Table.from_pylist(keys)
         target = self.full_arrow_schema()
-        out_cols = [f.name for f in target if f.name not in (PART_COL, OP_COL)]
-        if columns:
-            out_cols = [c for c in out_cols if c in columns or c in self.key_cols]
+        out_cols = self._out_cols(target, columns)
         if keys.num_rows == 0:
             self.last_lookup_stats = {
                 "keys": 0, "files_total": 0, "files_read": 0,
                 "files_zone_skipped": 0, "files_bloom_skipped": 0,
-                "partitions_total": 0, "partitions_read": 0,
+                "partitions_total": 0, "partitions_read": 0, "tasks": 0,
             }
             return pa.schema([target.field(c) for c in out_cols]).empty_table()
         keys = pa.table(
@@ -1189,17 +1351,13 @@ class LakeTable:
         by_part: dict[int, list[int]] = {}
         for i, p in enumerate(parts_np):
             by_part.setdefault(int(p), []).append(i)
-        files_read = partitions_read = 0
-        tasks = []
         zone_skipped = bloom_skipped = 0
+        units, kept_files = [], []
         for p, idx in sorted(by_part.items()):
-            fs = live.get(p)
-            if not fs:
-                continue
             ktab = keys.take(idx)
             kh = hash64_column(ktab, key_cols).to_numpy(zero_copy_only=False)
             kept = []
-            for f in fs:
+            for f in live.get(p, []):
                 if not _zone_may_contain(
                     stats.get(os.path.relpath(f, self.dir), {}), ktab
                 ):
@@ -1208,23 +1366,27 @@ class LakeTable:
                     bloom_skipped += 1
                 else:
                     kept.append(f)
-            if not kept:
-                continue
-            partitions_read += 1
-            files_read += len(kept)
-            tasks.append(
-                _lookup_partition.remote(
-                    kept, ktab, target, phys_cols, key_cols, out_cols
-                )
+            if kept:
+                units.append((kept, ktab))
+                kept_files.append(kept)
+        runs = _read_runs(units, kept_files)
+        tasks = [
+            _lookup_partition.remote(
+                [f for kept, _ in run for f in kept],
+                pa.concat_tables([ktab for _, ktab in run]),
+                target, phys_cols, key_cols, out_cols,
             )
+            for run in runs
+        ]
         self.last_lookup_stats = {
             "keys": keys.num_rows,
             "files_total": sum(len(fs) for fs in live.values()),
-            "files_read": files_read,
+            "files_read": sum(map(len, kept_files)),
             "files_zone_skipped": zone_skipped,
             "files_bloom_skipped": bloom_skipped,
             "partitions_total": len(live),
-            "partitions_read": partitions_read,
+            "partitions_read": len(units),
+            "tasks": len(tasks),
         }
         empty = pa.schema([target.field(c) for c in out_cols]).empty_table()
         got = [t for t in ray.get(tasks) if t.num_rows]
@@ -1254,29 +1416,23 @@ class LakeTable:
         insert) — so a consumer can retract the old contribution and
         add the new one without a second state read.
 
-        Scale shape: like :meth:`read`, one task per partition and NO
-        shuffle — a partition's files at both cutoffs are co-located by
-        construction, so each task resolves both states locally and
-        diffs them with one vectorized polars full join. Cost is
-        O(|state_a| + |state_b|), never a cross-partition exchange.
-        Subject to the same vacuumed-history rule as time travel.
+        Scale shape: like :meth:`read`, NO shuffle, and whole
+        partitions packed into tasks of at most ``_READ_TASK_BYTES``
+        on-disk bytes — a partition's files at both cutoffs are
+        co-located by construction, so a task resolves both states of
+        each of its partitions locally and diffs them with one vectorized
+        polars full join (``_diff_runs``). Cost is O(|state_a| +
+        |state_b|), never a cross-partition exchange. Subject to the same
+        vacuumed-history rule as time travel.
         """
         if seq_a > seq_b:
             raise ValueError(f"diff needs seq_a <= seq_b, got {seq_a} > {seq_b}")
-        import polars as pl
-
         st_a, st_b = self.ledger.state(seq_a), self.ledger.state(seq_b)
         live_a = self._live_paths(st_a, "diff at seq_a")
         live_b = self._live_paths(st_b, "diff at seq_b")
         target = self.full_arrow_schema()
         key_cols = self.key_cols
-        out_cols = [
-            f.name
-            for f in target
-            if f.name not in (PART_COL, OP_COL, SEQ_COL)
-        ]
-        if columns:
-            out_cols = [c for c in out_cols if c in columns or c in key_cols]
+        out_cols = [c for c in self._out_cols(target, columns) if c != SEQ_COL]
         payload = [c for c in out_cols if c not in key_cols]
         # output/suffix name collisions would silently shadow user data
         # (a payload literally named "change") or mis-pair the changed
@@ -1340,7 +1496,7 @@ class LakeTable:
                         return ia
                 return None
 
-            # ONE item (= one read + one LWW resolve of the parent's
+            # ONE unit (= one read + one LWW resolve of the parent's
             # a-state) per a-parent, diffing all of its b-children from
             # the same resolved table — a maintain() split at factor 16
             # would otherwise re-read and re-resolve the parent 16x
@@ -1364,101 +1520,20 @@ class LakeTable:
             ]
         if not items:
             return ray.data.from_arrow(out_schema.empty_table())
-        state_schema = pa.schema([target.field(c) for c in out_cols])
-
-        def diff_partition(batch: pa.Table) -> pa.Table:
-            from ..util import hash_route_column as _route
-
-            outs = []
-            for row in batch.to_pylist():
-
-                def load(files) -> pa.Table:
-                    t = pq.ParquetDataset(files, schema=target).read(
-                        columns=phys_cols
-                    )
-                    return resolve_arrow(t, key_cols)
-
-                # the parent's a-state is read and LWW-resolved ONCE,
-                # then sliced per child by b-topology routing
-                ra = load(row["files_a"]) if row["files_a"] else None
-                ids = (
-                    _route(ra, key_cols, base, splits_b)
-                    if ra is not None and row["route_a"]
-                    else None
-                )
-                for child in row["children"]:
-                    if ra is None:
-                        da = pl.from_arrow(state_schema.empty_table())
-                    elif ids is not None:
-                        da = pl.from_arrow(
-                            ra.filter(pc.equal(ids, child["part"])).select(out_cols)
-                        )
-                    else:
-                        da = pl.from_arrow(ra.select(out_cols))
-                    db = (
-                        pl.from_arrow(load(child["files_b"]).select(out_cols))
-                        if child["files_b"]
-                        else pl.from_arrow(state_schema.empty_table())
-                    )
-                    da = da.with_columns(pl.lit(True).alias("__a"))
-                    db = db.with_columns(pl.lit(True).alias("__b"))
-                    # nulls_equal: a null-keyed row present unchanged in
-                    # both states must JOIN (and emit nothing), not split
-                    # into a same-seq delete+insert pair whose LWW tie a
-                    # downstream replication apply resolves
-                    # nondeterministically
-                    j = da.join(
-                        db,
-                        on=key_cols,
-                        how="full",
-                        suffix="__b",
-                        coalesce=True,
-                        nulls_equal=True,
-                    )
-                    in_a = pl.col("__a").fill_null(False)
-                    in_b = pl.col("__b").fill_null(False)
-                    changed = (
-                        pl.any_horizontal(
-                            [pl.col(c).ne_missing(pl.col(f"{c}__b")) for c in payload]
-                        )
-                        if payload
-                        else pl.lit(False)
-                    )
-                    j = j.with_columns(
-                        pl.when(~in_a)
-                        .then(pl.lit("insert"))
-                        .when(~in_b)
-                        .then(pl.lit("delete"))
-                        .when(changed)
-                        .then(pl.lit("update"))
-                        .otherwise(pl.lit(None, pl.String))
-                        .alias("change")
-                    ).filter(pl.col("change").is_not_null())
-                    if include_old:
-                        # new values plain (a-side nulls for delete come
-                        # from the join), old values as <c>__old siblings
-                        vals = [pl.col(f"{c}__b").alias(c) for c in payload] + [
-                            pl.col(c).alias(f"{c}__old") for c in payload
-                        ]
-                    else:
-                        vals = [
-                            pl.when(pl.col("change") == "delete")
-                            .then(pl.col(c))
-                            .otherwise(pl.col(f"{c}__b"))
-                            .alias(c)
-                            for c in payload
-                        ]
-                    outs.append(
-                        j.select([*key_cols, *vals, "change"])
-                        .to_arrow()
-                        .cast(out_schema)
-                    )
-            return (
-                pa.concat_tables(outs) if outs else out_schema.empty_table()
-            )
-
-        return ray.data.from_items(items).map_batches(
-            diff_partition, batch_size=1, batch_format="pyarrow"
+        # a split's a-parent and all its b-children stay one unit
+        runs = _read_runs(
+            items,
+            [it["files_a"] + [f for c in it["children"] for f in c["files_b"]] for it in items],
+        )
+        return ray.data.from_items([{"units": r} for r in runs]).map_batches(
+            _diff_runs,
+            batch_size=1,
+            batch_format="pyarrow",
+            fn_kwargs=dict(
+                target=target, key_cols=key_cols, cols=phys_cols, out_cols=out_cols,
+                payload=payload, base=base, splits_b=splits_b,
+                include_old=include_old, out_schema=out_schema,
+            ),
         )
 
     # -- maintenance --------------------------------------------------------
@@ -1891,21 +1966,11 @@ class LakeTable:
         seq = commit_seq if commit_seq is not None else hi0 + 1
         if seq <= hi0:
             raise ValueError(f"tombstone seq {seq} must exceed committed hi {hi0}")
-        key_cols = self.key_cols
-
-        def to_tombstones(batch: pa.Table) -> pa.Table:
-            mask = predicate(batch)
-            keys = batch.filter(mask).select(key_cols)
-            n = keys.num_rows
-            cols = {
-                OP_COL: pa.array([TOMBSTONE] * n, pa.string()),
-                SEQ_COL: pa.array([seq] * n, pa.int64()),
-            }
-            for k in key_cols:
-                cols[k] = keys[k]
-            return pa.table(cols)
-
-        ds = self.read().map_batches(to_tombstones, batch_format="pyarrow")
+        ds = self.read().map_batches(
+            _tombstones_for,
+            batch_format="pyarrow",
+            fn_kwargs=dict(predicate=predicate, key_cols=self.key_cols, seq=seq),
+        )
         return self.apply_window(ds, seq - 1, seq)
 
     def ingest_report(self) -> dict:

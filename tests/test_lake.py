@@ -1407,6 +1407,98 @@ def test_scan_range_zone_pruned_and_resurrection_safe(ray_session, tmp_path):
 # -- lake -> lake replication (pipelines/replicate) -------------------------
 
 
+def test_scan_range_keeps_ledger_tie_order(ray_session, tmp_path):
+    """scan_range reads every file in its ledger position with its own
+    column set: a forced repair window that rewrites a key at the SAME
+    commit_seq wins the tie as in read() and lookup(), even when the
+    earlier file is only read narrow (its value is out of range)."""
+    import ray.data
+
+    lake = LakeTable.create(str(tmp_path / "lake"), ["k"], 1, stats_cols=["v"])
+
+    def win(v, force=False):
+        t = pa.table({
+            "k": ["a"], "v": pa.array([v], pa.int64()),
+            "commit_seq": pa.array([5], pa.int64()), "op": ["upsert"],
+        })
+        lake.apply_window(ray.data.from_arrow(t), 0, 5, force=force)
+
+    win(100)
+    win(1, force=True)  # the repair, committed later at the same seq
+    assert [r["v"] for r in lake.read().take_all()] == [1]
+    assert lake.lookup([{"k": "a"}])["v"].to_pylist() == [1]
+    got = [(r["k"], r["v"]) for r in lake.scan_range("v", 0, 10).take_all()]
+    assert got == [("a", 1)]
+    st = lake.last_scan_stats
+    assert (st["files_full"], st["files_narrow"]) == (1, 1)
+
+
+def test_read_packing_equivalent(ray_session, tmp_path, monkeypatch):
+    """Packing whole partitions into byte-bounded read tasks changes no
+    result: with ``_READ_TASK_BYTES`` at 1 byte (one partition per
+    task) and at its default (the whole lake in one task), read() (row
+    order included), read(as_of=...), a scan_range with narrow files,
+    diff_as_of across a split and a lookup spanning every partition
+    return identical rows, and the task counts say which shape ran."""
+    import ray.data
+
+    from jitsu_ray.sinks import lake as lake_mod
+    from jitsu_ray.testgen import gen_changelog
+
+    ctx = ray.data.DataContext.get_current()
+    monkeypatch.setattr(ctx.execution_options, "preserve_order", True)
+    tbl = gen_changelog(n_events=3000, n_repos=12, seed=17)
+    assert "delete" in tbl["op"].to_pylist()
+    lake = LakeTable.create(str(tmp_path / "lake"), ["repo", "path"], 4,
+                            stats_cols=["commit_seq"])
+
+    def win(lo, hi):
+        lake.apply_window(ray.data.from_arrow(tbl.slice(lo, hi - lo)), lo, hi)
+
+    for lo in range(0, 1500, 500):
+        win(lo, lo + 500)
+    assert lake.compact(min_files=2)["kind"] == "compact"
+    win(1500, 2000)
+    pre_split = lake.last_committed_hi()
+    assert lake.split_partition(1, factor=2)["kind"] == "split"
+    win(2000, 2500)
+    win(2500, 3000)
+    keys = read_rows(lake)
+    probe = [{"repo": r, "path": p} for r, p in sorted(keys)] + [
+        {"repo": "nope", "path": "x"}
+    ]
+
+    def rows(ds):
+        return [tuple(sorted(r.items())) for r in ds.take_all()]
+
+    def views():
+        out = {
+            "read": rows(lake.read()),
+            "as_of": rows(lake.read(as_of=1000)),
+            "range": sorted(rows(lake.scan_range("commit_seq", 2600, 3000))),
+            "diff": sorted(rows(lake.diff_as_of(pre_split, 3000))),
+            "lookup": sorted(tuple(sorted(r.items())) for r in lake.lookup(probe).to_pylist()),
+        }
+        return out, dict(lake.last_scan_stats), dict(lake.last_lookup_stats)
+
+    packed, scan_st, look_st = views()
+    monkeypatch.setattr(lake_mod, "_READ_TASK_BYTES", 1)
+    split, scan_st1, look_st1 = views()
+    assert split == packed
+    assert len(packed["read"]) == len(keys) == len(packed["lookup"])
+    assert packed["range"] and packed["diff"] and packed["as_of"]
+    assert scan_st["files_narrow"] > 0
+    assert look_st["partitions_read"] == len(lake.live_files()) == 5
+    # the default packs the whole lake into one task; 1 byte gives one
+    # task per partition read
+    assert scan_st["tasks"] == look_st["tasks"] == 1
+    assert scan_st1["tasks"] > 1
+    assert look_st1["tasks"] == look_st1["partitions_read"] == 5
+    # every other read stat is the same in both shapes
+    for a, b in ((scan_st1, scan_st), (look_st1, look_st)):
+        assert {**a, "tasks": 0} == {**b, "tasks": 0}
+
+
 def _state(lake):
     """Visible replica-comparable state: key -> payload values (seqs
     are rewritten by replication, so they are excluded on purpose)."""
@@ -3679,6 +3771,32 @@ def test_no_ray_remote_inside_function_bodies():
                     if is_ray_remote(node)
                 ]
     assert not found, f"ray.remote inside a function body: {found}"
+
+
+def test_lake_map_functions_are_module_level():
+    """Every ``map_batches`` call in ``sinks/lake.py`` passes a
+    module-level function, never a nested def or a lambda: its per-call
+    arguments go through ``fn_kwargs``, so a read or a window defines no
+    new function for Ray Data to register."""
+    import ast
+    import pathlib
+
+    import jitsu_ray.sinks.lake as lake_mod
+
+    tree = ast.parse(pathlib.Path(lake_mod.__file__).read_text())
+    module_fns = {n.name for n in tree.body if isinstance(n, ast.FunctionDef)}
+    calls = [
+        node for node in ast.walk(tree)
+        if isinstance(node, ast.Call)
+        and isinstance(node.func, ast.Attribute)
+        and node.func.attr == "map_batches"
+    ]
+    assert len(calls) >= 4  # apply_window, read/scan_range, diff_as_of, delete_where
+    bad = [
+        node.lineno for node in calls
+        if not (isinstance(node.args[0], ast.Name) and node.args[0].id in module_fns)
+    ]
+    assert not bad, f"map_batches with a non-module-level function at lines {bad}"
 
 
 def test_lake_parquet_written_only_by_write_lake_files():
