@@ -240,11 +240,9 @@ def scaling() -> None:
     )
     for f in glob.glob(os.path.join(log_dir, "*.parquet")):
         pq.read_table(f)
-    def run_level(n: int, pool: int | None) -> dict:
+    def run_level(n: int) -> dict:
         env = dict(os.environ, RAY_GRAFT_CPUS=str(n), BENCH_SKIP_QUERIES="1",
                    BENCH_SKIP_WARM="1", BENCH_EVENTS=str(n_events))
-        if pool:
-            env["JITSU_MERGER_POOL"] = str(pool)
         runs = []
         for _ in range(repeats):  # min-of-k: the sandbox VM has memory-
             # compaction stalls that inject multi-second noise
@@ -260,32 +258,21 @@ def scaling() -> None:
         best["all_draws_sec"] = sorted(r["value"] for r in runs)
         return best
 
-    # two protocols (round-1 verdict): "configured" uses the production
-    # fold-group count (cpus//2 — what a real deployment runs),
-    # "fixed_pool" pins it (JITSU_MERGER_POOL) at both levels so the
-    # efficiency number isolates the engine's scaling from that config;
-    # the report keeps its "merger_pool" key so older records compare
-    fixed_pool = int(os.environ.get("SCALE_FIXED_POOL", "4"))
-    report: dict = {"metric": "scaling_efficiency", "unit": "ratio",
-                    "sf": sf, "events": n_events}
-    for proto, pool in (("configured", None), ("fixed_pool", fixed_pool)):
-        res = {n: run_level(n, pool) for n in (lo, hi)}
-        t_lo, t_hi = res[lo]["value"], res[hi]["value"]
-        eff = (t_lo / t_hi) / (hi / lo)
-        report[proto] = {
-            "efficiency": round(eff, 3),
-            f"sec_{lo}": t_lo,
-            f"sec_{hi}": t_hi,
-            f"events_per_sec_{lo}": res[lo]["events_per_sec"],
-            f"events_per_sec_{hi}": res[hi]["events_per_sec"],
-            f"draws_{lo}": res[lo]["all_draws_sec"],
-            f"draws_{hi}": res[hi]["all_draws_sec"],
-            **({"merger_pool": pool} if pool else {"merger_pool": "cpus//2"}),
-        }
-    # headline value = the config-honest run; fixed_pool published beside it
-    report["value"] = report["configured"]["efficiency"]
-    report["value_fixed_pool"] = report["fixed_pool"]["efficiency"]
-    print(json.dumps(report))
+    # the production fold-group count (min(active partitions, cpus // 2))
+    # at both levels: what a real deployment of each size runs
+    res = {n: run_level(n) for n in (lo, hi)}
+    t_lo, t_hi = res[lo]["value"], res[hi]["value"]
+    eff = (t_lo / t_hi) / (hi / lo)
+    print(json.dumps({
+        "metric": "scaling_efficiency", "unit": "ratio", "sf": sf,
+        "events": n_events, "value": round(eff, 3),
+        f"sec_{lo}": t_lo,
+        f"sec_{hi}": t_hi,
+        f"events_per_sec_{lo}": res[lo]["events_per_sec"],
+        f"events_per_sec_{hi}": res[hi]["events_per_sec"],
+        f"draws_{lo}": res[lo]["all_draws_sec"],
+        f"draws_{hi}": res[hi]["all_draws_sec"],
+    }))
 
 
 def latency() -> None:

@@ -1,7 +1,7 @@
 """Multimodal column plumbing: opaque binary media + typed metadata.
 
-Images/audio/video are `binary` columns; decode / feature-extraction /
-resize / frame-sample are actor-pool map_batches stages sized for large
+Images/audio/video are `binary` columns; decode / resize /
+frame-sample are actor-pool map_batches stages sized for large
 payloads (small batch_size, pyarrow end to end). Codec calls sit behind
 `DecoderBackend` with three implementations:
 
@@ -21,7 +21,6 @@ from __future__ import annotations
 
 import hashlib
 
-import numpy as np
 import pyarrow as pa
 
 MEDIA_SCHEMA = pa.schema(
@@ -226,25 +225,6 @@ class MediaDecoder(_MediaMetadataStage):
         ("channels", pa.int32()),
         ("content_sha256", pa.string()),
     ]
-
-
-class FakeFeatureExtractor:
-    """Embedding-extraction plumbing: binary -> fixed-dim float vector
-    (here: seeded from the payload sha; a real model is a drop-in).
-    Output is a list<float> column compatible with ops.similarity."""
-
-    def __init__(self, dim: int = 64):
-        self.dim = dim
-
-    def __call__(self, batch: pa.Table) -> pa.Table:
-        vecs = []
-        for d in batch["media"]:
-            data = d.as_py() or b""
-            seed = int.from_bytes(hashlib.sha1(data).digest()[:8], "little")
-            rng = np.random.default_rng(seed)
-            vecs.append(rng.standard_normal(self.dim).astype(np.float32))
-        col = pa.array([v.tolist() for v in vecs], pa.list_(pa.float32()))
-        return batch.append_column("embedding", col).drop_columns(["media"])
 
 
 def decode_media(ds, backend: type[DecoderBackend] = FakeDecoder, concurrency: int = 4,

@@ -16,6 +16,7 @@ Physical design (LSM-ish, append-only):
       _ledger/00000001.json ...     # commit log (state/ledger.py)
       part=00007/delta-<lo>-<hi>.parquet   # one window's winners for part 7
       part=00007/base-<n>.parquet          # compacted state
+      part=00007/<file>.parquet.bloom      # each data file's key Bloom filter
 
 Applying a window only *appends* per-partition delta files containing
 the window's per-key winners — O(window), never O(table) — so ingest
@@ -59,6 +60,7 @@ import json
 import math
 import os
 import re
+import struct
 import tempfile
 
 import pyarrow as pa
@@ -187,52 +189,64 @@ def resolve_arrow(tbl: pa.Table, key_cols: list[str]) -> pa.Table:
     return win.filter(pc.not_equal(win[OP_COL], TOMBSTONE))
 
 
+# Key Bloom sidecar ``<file>.parquet.bloom``: a 16-byte header (magic
+# with the format version, ``m`` u64, ``k`` u32, little-endian), then the
+# ``ceil(m / 8)`` filter bytes. Older lakes have ``.bloom.npz`` sidecars
+# (~740 B of zip and .npy framing around ~60 B of bits on a small delta):
+# nothing reads them, so their files fail open until compaction rewrites
+# them. ``vacuum`` deletes a data file with every suffix here.
+_BLOOM_SUFFIX = ".bloom"
+_LEGACY_BLOOM_SUFFIX = ".bloom.npz"
+_LAKE_FILE_SUFFIXES = ("", _BLOOM_SUFFIX, _LEGACY_BLOOM_SUFFIX)
+_BLOOM_HEADER = struct.Struct("<4sQI")
+_BLOOM_MAGIC = b"JRB\x01"
+
+
 def _write_key_bloom(tbl: pa.Table, key_cols: list[str], parquet_path: str) -> str:
-    """Per-file key Bloom sidecar (``<file>.bloom.npz``) over the
-    64-bit composite-key hash — the point-lookup complement to zone
+    """Per-file key Bloom sidecar (``<file>`` + ``_BLOOM_SUFFIX``) over
+    the 64-bit composite-key hash — the point-lookup complement to zone
     maps: hash-partitioned string keys (repo/path) span the whole
     alphabet in EVERY delta file, so [min,max] never prunes them, while
     a ~10-bits/key Bloom skips a file for any absent key with ~1% false
     positives. Written tmp+rename next to the (already deterministic)
-    delta path, so idempotent window retries converge. A Bloom "maybe"
+    data path, so idempotent window retries converge. A Bloom "maybe"
     still reads the parquet — pruning stays exact."""
     from ..ops.sketch import BloomFilter
-    from ..util import hash64_column
 
     # ``tbl`` is resolved (one row per key), so its key rows are already
     # the distinct keys the filter is sized by
     bf = BloomFilter.build(hash64_column(tbl, key_cols).to_numpy(zero_copy_only=False))
-    import zipfile
-
-    import numpy as np
-
-    path = parquet_path + ".bloom.npz"
+    path = parquet_path + _BLOOM_SUFFIX
     fd, tmp = tempfile.mkstemp(dir=os.path.dirname(path), suffix=".tmp")
-    with os.fdopen(fd, "wb") as f, zipfile.ZipFile(f, "w") as zf:
-        # np.savez's layout, but each entry keeps ZipInfo's fixed 1980
-        # timestamp instead of the clock, so the sidecar's bytes depend
-        # on its keys only and a retried write is byte-identical
-        for name, arr in (("bits", bf.bits), ("m", np.int64(bf.m)), ("k", np.int64(bf.k))):
-            with zf.open(zipfile.ZipInfo(f"{name}.npy"), "w", force_zip64=True) as z:
-                np.lib.format.write_array(z, np.asanyarray(arr))
+    with os.fdopen(fd, "wb") as f:
+        f.write(_BLOOM_HEADER.pack(_BLOOM_MAGIC, bf.m, bf.k) + bf.bits.tobytes())
     os.replace(tmp, path)
     return path
 
 
-def _bloom_may_contain(parquet_path: str, key_hashes) -> bool:
-    """Probe a file's Bloom sidecar; a missing/corrupt sidecar never
-    prunes (legacy files, partial writes)."""
+def _read_key_bloom(parquet_path: str):
+    """The file's key ``BloomFilter``, or None when its sidecar is
+    missing, truncated, of another format or otherwise unreadable."""
     import numpy as np
 
     from ..ops.sketch import BloomFilter
 
-    path = parquet_path + ".bloom.npz"
     try:
-        with np.load(path) as z:
-            bf = BloomFilter(z["bits"], int(z["m"]), int(z["k"]))
-    except Exception:  # missing, truncated (EOFError/BadZipFile), garbage
-        return True  # — ANY unreadable sidecar must fail open, never prune
-    return bool(bf.contains_many(key_hashes).any())
+        with open(parquet_path + _BLOOM_SUFFIX, "rb") as f:
+            buf = f.read()
+        magic, m, k = _BLOOM_HEADER.unpack_from(buf)
+    except (OSError, struct.error):
+        return None
+    n_bytes = len(buf) - _BLOOM_HEADER.size
+    if magic != _BLOOM_MAGIC or m < 1 or k < 1 or n_bytes != (m + 7) // 8:
+        return None
+    return BloomFilter(np.frombuffer(buf, np.uint8, offset=_BLOOM_HEADER.size), m, k)
+
+
+def _bloom_may_contain(parquet_path: str, key_hashes) -> bool:
+    """Probe a file's Bloom sidecar; an unreadable one never prunes."""
+    bf = _read_key_bloom(parquet_path)
+    return bf is None or bool(bf.contains_many(key_hashes).any())
 
 
 def _key_zone_stats(tbl: pa.Table, key_cols: list[str]) -> dict:
@@ -297,18 +311,20 @@ def _drop_old_tombstones(tbl: pa.Table, watermark: int) -> pa.Table:
 # chunk, so a lake mixing older files (snappy, zstd-1, dictionaries)
 # with these reads as it is, and its next compaction rewrites them.
 #
-# Footer statistics are written only for ``commit_seq`` and the zone-map
-# columns (``_write_lake_files``): file pruning comes from the ledger's
-# zone maps and the Bloom sidecars, and the only footer statistic code
-# reads is ``commit_seq`` (``LakeTable.max_row_seq``). Min/max of payload
-# columns were ~25% of a small window delta's bytes (a ``content`` bound
-# alone is ~1.2 kB, stored in the column chunk AND each page header).
-# Files written earlier with full statistics read as they are.
+# Min/max statistics (footer and page headers) only for ``commit_seq``,
+# the one footer statistic code reads (``parquet_seq_bounds``); pruning
+# uses the ledger's zone maps and the Bloom sidecars. Payload bounds
+# were ~25% of a small delta's bytes, the zone columns' ~200 B more. No
+# ``ARROW:schema`` footer key (~620 B a file): every lake type is native
+# Parquet and every lake read passes ``schema=`` the reconciled schema.
+# Files written with more statistics or with the key read as they are.
 _LAKE_PARQUET = {
     "compression": "zstd",
     "compression_level": 3,
     "use_dictionary": False,
     "data_page_size": 8 << 20,
+    "write_statistics": [SEQ_COL],
+    "store_schema": False,
 }
 
 # maintain() splits a partition into ceil(bytes * headroom / budget)
@@ -338,9 +354,10 @@ def _write_lake_files(
     folds and split children. Each file is written tmp+replace at a
     deterministic path (a retry converges), gets its key Bloom sidecar,
     and its info records ``file``, ``rows``, on-disk ``bytes`` and the
-    zone-map ``key_stats`` over ``zone_cols``. Parquet statistics are
-    written for ``commit_seq`` and ``zone_cols`` only; payload columns
-    carry none, in the footer or in page headers.
+    zone-map ``key_stats`` over ``zone_cols``. A file's fixed cost is
+    kept small, since a streaming lake holds many small deltas: Parquet
+    statistics on ``commit_seq`` only, no ``ARROW:schema`` footer key,
+    and a raw Bloom sidecar (``_write_key_bloom``).
 
     ``cluster_by``: CLUSTERED rewrite — sort by these columns and cut
     into range-disjoint chunk files ``<stem>-cNNN`` of about
@@ -370,7 +387,7 @@ def _write_lake_files(
         fd, tmp = tempfile.mkstemp(dir=part_dir, suffix=".tmp")
         os.close(fd)
         chunk = chunk.combine_chunks()
-        pq.write_table(chunk, tmp, write_statistics=[SEQ_COL, *zone_cols], **_LAKE_PARQUET)
+        pq.write_table(chunk, tmp, **_LAKE_PARQUET)
         os.replace(tmp, final)
         _write_key_bloom(chunk, key_cols, final)
         info = {
@@ -783,16 +800,12 @@ class LakeTable:
         """Split the active partition ids into fold groups, one
         ``_fold_window`` task each: ``min(active, cpus // 2)`` groups
         (half the CPUs leaves slots for the read/prep stages of the next
-        window), group ``g`` owning the ids ``p % n == g``.
-        ``JITSU_MERGER_POOL`` pins the group count irrespective of CPU
-        count — bench.py --scaling holds it equal across parallelism
-        levels. The grouping never changes a file: each partition's rows
-        are resolved and written the same in any group."""
+        window), group ``g`` owning the ids ``p % n == g``. The grouping
+        never changes a file: each partition's rows are resolved and
+        written the same in any group."""
         if self._cpus is None:
             self._cpus = int(ray.cluster_resources().get("CPU", 8))
-        n = int(os.environ.get("JITSU_MERGER_POOL", "0")) or max(
-            1, min(len(active), self._cpus // 2)
-        )
+        n = max(1, min(len(active), self._cpus // 2))
         groups = [[p for p in active if p % n == g] for g in range(n)]
         return [g for g in groups if g]
 
@@ -1903,7 +1916,8 @@ class LakeTable:
         step of the reference's uploader
         (server/logfiles/uploader.go:138-145) done as policy. This is
         the lake's ONLY delete path for data files and their Bloom
-        sidecars: compaction and splits just commit ledger rows.
+        sidecars, legacy ``.bloom.npz`` ones included: compaction and
+        splits just commit ledger rows.
 
         ``keep_history=N`` is the GRACE WINDOW in ledger rows: any
         ``as_of`` whose bounded replay only needs files replaced within
@@ -1922,11 +1936,10 @@ class LakeTable:
         stragglers = [
             f
             for f in st.vacuumed
-            # either path counts: a crash between the parquet unlink and
-            # the sidecar unlink must not orphan the .bloom.npz forever
+            # any leftover counts: a crash between the parquet unlink and
+            # the sidecar unlinks must not orphan a sidecar forever
             if f not in st.live
-            and (os.path.exists(os.path.join(self.dir, f))
-                 or os.path.exists(os.path.join(self.dir, f + ".bloom.npz")))
+            and any(os.path.exists(os.path.join(self.dir, f + x)) for x in _LAKE_FILE_SUFFIXES)
         ]
         entry = {
             "kind": "vacuum",
@@ -1938,10 +1951,10 @@ class LakeTable:
             self.ledger.append(entry)
         removed_now = 0
         for f in entry["removed"]:
-            for path in (f, f + ".bloom.npz"):
+            for x in _LAKE_FILE_SUFFIXES:
                 try:
-                    os.unlink(os.path.join(self.dir, path))
-                    removed_now += path == f
+                    os.unlink(os.path.join(self.dir, f + x))
+                    removed_now += not x
                 except OSError:
                     pass
         entry["removed_now"] = removed_now

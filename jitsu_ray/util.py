@@ -252,13 +252,6 @@ def group_take_indices(group_ids: np.ndarray, n_groups: int) -> list[np.ndarray]
     return [order[bounds[i] : bounds[i + 1]] for i in range(n_groups)]
 
 
-def np_view(col: pa.ChunkedArray | pa.Array) -> np.ndarray:
-    """Zero-copy-ish numpy view of a numeric arrow column."""
-    if isinstance(col, pa.ChunkedArray):
-        col = col.combine_chunks()
-    return col.to_numpy(zero_copy_only=False)
-
-
 def _lock_token() -> str:
     import socket
 

@@ -8,7 +8,7 @@ import pyarrow as pa
 import pyarrow.parquet as pq
 import pytest
 
-from jitsu_ray.sinks.lake import LakeTable
+from jitsu_ray.sinks.lake import _BLOOM_SUFFIX, LakeTable
 from jitsu_ray.util import hash_mod_column
 
 
@@ -228,13 +228,13 @@ def _lake_fingerprint(lake):
     blobs = {}
     for fs in lake.live_files().values():
         for f in fs:
-            for path in (f, f + ".bloom.npz"):
+            for path in (f, f + _BLOOM_SUFFIX):
                 with open(path, "rb") as fh:
                     blobs[os.path.relpath(path, lake.dir)] = fh.read()
     return state, files, blobs
 
 
-def test_fold_group_count_equivalent_state(ray_session, tmp_path, monkeypatch):
+def test_fold_group_count_equivalent_state(ray_session, tmp_path):
     """The number of fold groups (one ``_fold_window`` task each) never
     changes a file: 1, 3 and 8 groups give the same read() state, the
     same ledger ``files`` and byte-identical data files and Bloom
@@ -246,8 +246,9 @@ def test_fold_group_count_equivalent_state(ray_session, tmp_path, monkeypatch):
     tbl = gen_changelog(n_events=4000, n_repos=12, seed=21)
 
     def run(groups):
-        monkeypatch.setenv("JITSU_MERGER_POOL", str(groups))
         lake = LakeTable.create(str(tmp_path / f"lake{groups}"), ["repo", "path"], 8)
+        lake._cpus = 2 * groups  # min(active partitions, cpus // 2) groups
+        assert len(lake._fold_groups(list(range(8)))) == groups
         lake.apply_window(ray.data.from_arrow(tbl.slice(0, 1500)), 0, 1500)
         lake.apply_window(ray.data.from_arrow(tbl.slice(1500, 1500)), 1500, 3000)
         assert lake.split_partition(3, factor=3)["kind"] == "split"
@@ -326,8 +327,8 @@ def test_exchange_split_mode_equivalent_state(ray_session, tmp_path, monkeypatch
     monkeypatch.setattr(lake_mod, "_fold_window", Counted)
 
     def run(groups):
-        monkeypatch.setenv("JITSU_MERGER_POOL", str(groups))
         lake = LakeTable.create(str(tmp_path / f"lake{groups}"), ["repo", "path"], 8)
+        lake._cpus = 2 * groups  # min(active partitions, cpus // 2) groups
         for lo in (0, 2000):
             pieces = [tbl.slice(lo + i, 400) for i in range(0, 2000, 400)]
             lake.apply_window(ray.data.from_arrow(pieces), lo, lo + 2000)
@@ -393,7 +394,7 @@ def test_fold_window_retry_is_idempotent(ray_session, tmp_path, monkeypatch):
             first = _ray.get(real.remote(parts, tag, writer, *refs))
             disk = {}
             for r in first:
-                for f in (r["file"], r["file"] + ".bloom.npz"):
+                for f in (r["file"], r["file"] + _BLOOM_SUFFIX):
                     with open(os.path.join(lake.dir, f), "rb") as fh:
                         disk[f] = fh.read()
             runs.append((first, disk))
@@ -1066,7 +1067,7 @@ def test_lookup_missing_bloom_sidecar_reads_file(ray_session, tmp_path):
     import json
 
     lake = _lookup_lake(tmp_path)
-    for b in glob.glob(os.path.join(str(tmp_path / "lake"), "part=*", "*.bloom.npz")):
+    for b in glob.glob(os.path.join(str(tmp_path / "lake"), "part=*", "*" + _BLOOM_SUFFIX)):
         os.unlink(b)
     for n in sorted(os.listdir(lake.ledger.dir)):
         if n.endswith(".json"):
@@ -1086,11 +1087,11 @@ def test_compaction_removes_stale_bloom_sidecars(ray_session, tmp_path):
     import glob
 
     lake = _lookup_lake(tmp_path)
-    before = set(glob.glob(os.path.join(str(tmp_path / "lake"), "part=*", "*.bloom.npz")))
+    before = set(glob.glob(os.path.join(str(tmp_path / "lake"), "part=*", "*" + _BLOOM_SUFFIX)))
     assert before  # write path produced sidecars
     lake.compact()
     lake.vacuum()
-    after = set(glob.glob(os.path.join(str(tmp_path / "lake"), "part=*", "*.bloom.npz")))
+    after = set(glob.glob(os.path.join(str(tmp_path / "lake"), "part=*", "*" + _BLOOM_SUFFIX)))
     assert not (before & after)  # replaced deltas' sidecars are gone
     for b in after:
         assert "base-" in os.path.basename(b)  # compacted bases have fresh ones
@@ -1117,23 +1118,38 @@ def test_lookup_as_of_vacuumed_history_raises(ray_session, tmp_path):
 
 
 def test_lookup_corrupt_bloom_sidecar_fails_open(ray_session, tmp_path):
+    """Garbage, a truncated filter and a header of another format all
+    read as no filter: the file is read, never skipped."""
     import glob
 
+    from jitsu_ray.sinks.lake import _read_key_bloom
+
     lake = _lookup_lake(tmp_path)
-    for b in glob.glob(os.path.join(str(tmp_path / "lake"), "part=*", "*.bloom.npz")):
-        open(b, "wb").write(b"garbage")
+    spoil = [lambda raw: b"garbage", lambda raw: raw[:-1], lambda raw: b"XXXX" + raw[4:]]
+    for i, b in enumerate(sorted(glob.glob(os.path.join(lake.dir, "part=*", "*" + _BLOOM_SUFFIX)))):
+        with open(b, "rb") as fh:
+            raw = fh.read()
+        assert _read_key_bloom(b[: -len(_BLOOM_SUFFIX)]) is not None
+        with open(b, "wb") as fh:
+            fh.write(spoil[i % 3](raw))
+        assert _read_key_bloom(b[: -len(_BLOOM_SUFFIX)]) is None
     got = lake.lookup([{"repo": "r0150", "path": "f.py"}])
     assert got.num_rows == 1 and got["content"][0].as_py() == "body 150"
     assert lake.last_lookup_stats["files_bloom_skipped"] == 0
 
 
 def test_bloom_sidecar_bytes_pinned_on_fold_output(ray_session, tmp_path):
-    """A sidecar's bytes depend on its file's key set only. Window folds
-    and a compaction fold (duplicate keys within and across windows,
-    tombstones kept) write exactly these sidecars; a change to the key
-    hash, the Bloom sizing or the layout shows up here."""
+    """A sidecar's filter depends on its file's key set only. Window
+    folds and a compaction fold (duplicate keys within and across
+    windows, tombstones kept) write exactly these filters; a change to
+    the key hash or the Bloom sizing shows up here. The pins hash
+    ``(m, k, bits)``, not the file, and were taken from the ``.npz``
+    sidecars the earlier layout wrote for the same lake, so the raw
+    layout holds bit-identical filters."""
     import glob
     import hashlib
+
+    from jitsu_ray.sinks.lake import _read_key_bloom
 
     lake = LakeTable.create(str(tmp_path / "lake"), ["repo", "path"], 2)
     seq = 0
@@ -1146,20 +1162,22 @@ def test_bloom_sidecar_bytes_pinned_on_fold_output(ray_session, tmp_path):
             rows.append(ev(seq, op, f"r{k % 3}", f"p{k}", f"c{seq}", "py", f"v{seq}"))
         lake.apply_window(make_ds(rows), seq - 30, seq)
     lake.compact(min_files=2)  # never unlinks: the deltas stay on disk
-    got = {
-        os.path.relpath(b, lake.dir)[: -len(".parquet.bloom.npz")]:
-            hashlib.sha256(open(b, "rb").read()).hexdigest()[:16]
-        for b in glob.glob(os.path.join(lake.dir, "part=*", "*.bloom.npz"))
-    }
+    got = {}
+    for f in glob.glob(os.path.join(lake.dir, "part=*", "*.parquet")):
+        bf = _read_key_bloom(f)
+        blob = f"{bf.m}:{bf.k}:".encode() + bf.bits.tobytes()
+        got[os.path.relpath(f, lake.dir)[: -len(".parquet")]] = (
+            hashlib.sha256(blob).hexdigest()[:16]
+        )
     assert got == {
-        "part=00000/base-00000004": "b46d1262a5e1a016",
-        "part=00000/delta-000000000000-000000000030": "44f7c54b8cf0c964",
-        "part=00000/delta-000000000030-000000000060": "02492529b0dc3ad2",
-        "part=00000/delta-000000000060-000000000090": "cdde9f6019b0e68b",
-        "part=00001/base-00000004": "ec1c453c837a85bc",
-        "part=00001/delta-000000000000-000000000030": "f6f8a734acada114",
-        "part=00001/delta-000000000030-000000000060": "d90abb2d0e498b87",
-        "part=00001/delta-000000000060-000000000090": "9df15a861bc3f3e0",
+        "part=00000/base-00000004": "66d013196e3f1565",
+        "part=00000/delta-000000000000-000000000030": "a7733dc3118d94fb",
+        "part=00000/delta-000000000030-000000000060": "83203266c021a1e6",
+        "part=00000/delta-000000000060-000000000090": "fc5f9f611f2933d7",
+        "part=00001/base-00000004": "83c57a8cda716633",
+        "part=00001/delta-000000000000-000000000030": "b67d6d12d02edb07",
+        "part=00001/delta-000000000030-000000000060": "9b01c342a3140b98",
+        "part=00001/delta-000000000060-000000000090": "5268713955e4eb36",
     }
 
 
@@ -2505,12 +2523,42 @@ def _entry_files(entry: dict) -> list[str]:
     ]
 
 
+def _footer_keys(path: str) -> set[bytes]:
+    """Key-value metadata keys of one parquet file's footer."""
+    return set(pq.ParquetFile(path).metadata.metadata or {})
+
+
+def _assert_current_format(path: str, key_cols: list[str]) -> None:
+    """One lake file in the current format: every column chunk zstd and
+    not dictionary-encoded, Parquet statistics on commit_seq alone, no
+    ARROW:schema footer key, and a raw Bloom sidecar (header, then the
+    bits) whose filter equals BloomFilter.build over the file's keys."""
+    import numpy as np
+
+    from jitsu_ray.ops.sketch import BloomFilter
+    from jitsu_ray.sinks.lake import _BLOOM_HEADER, _read_key_bloom
+    from jitsu_ray.util import hash64_column
+
+    assert _codecs(path) == {"ZSTD"}, path
+    assert _dict_cols(path) == set(), path
+    assert _stat_cols(path) == {"commit_seq"}, path
+    assert b"ARROW:schema" not in _footer_keys(path), path
+    want = BloomFilter.build(
+        hash64_column(pq.read_table(path, columns=key_cols), key_cols).to_numpy()
+    )
+    got = _read_key_bloom(path)
+    assert (got.m, got.k) == (want.m, want.k), path
+    assert np.array_equal(got.bits, want.bits), path
+    assert os.path.getsize(path + _BLOOM_SUFFIX) == _BLOOM_HEADER.size + want.bits.size
+
+
 def test_every_lake_write_path_is_zstd(ray_session, tmp_path):
     """Window deltas, full folds, tiered folds, stall-fallback folds,
     split children and clustered chunks all go through one writer, and
-    every column chunk of every file it writes is zstd and carries no
-    dictionary encoding. Only commit_seq, the key columns and stats_cols
-    carry Parquet statistics; every other column carries none."""
+    every file it writes is in the current format: zstd without
+    dictionary encoding, Parquet statistics on commit_seq only (the key
+    columns and stats_cols carry none either), no ARROW:schema footer
+    key, and a raw Bloom sidecar over the file's keys."""
     import random
 
     rnd = random.Random(21)
@@ -2529,11 +2577,6 @@ def test_every_lake_write_path_is_zstd(ray_session, tmp_path):
         entry = lake.apply_window(make_ds(rows), seq, seq + n)
         seq += n
         return list(entry["files"].values())
-
-    def zstd(files):
-        assert files
-        for f in files:
-            assert _codecs(os.path.join(lake.dir, f)) == {"ZSTD"}, f
 
     written = {}
     written["window"] = [f for _ in range(4) for f in window(20)]
@@ -2560,14 +2603,11 @@ def test_every_lake_write_path_is_zstd(ray_session, tmp_path):
     assert any("-c001" in f for f in chunks)
     written["clustered chunk"] = chunks
     for path, files in written.items():
-        zstd(files)
-    zone = {"commit_seq", "repo", "path", "commit"}
-    for rel in {f for files in written.values() for f in files}:
-        assert _stat_cols(os.path.join(lake.dir, rel)) == zone, rel
-        assert _dict_cols(os.path.join(lake.dir, rel)) == set(), rel
+        assert files, path
+        for f in files:
+            _assert_current_format(os.path.join(lake.dir, f), ["repo", "path"])
     for f in (f for fs in lake.live_files().values() for f in fs):
-        assert _stat_cols(f) == zone, f
-        assert _dict_cols(f) == set(), f
+        _assert_current_format(f, ["repo", "path"])
 
 
 def test_lake_files_smaller_than_previous_format(tmp_path):
@@ -2610,17 +2650,27 @@ def test_mixed_codec_lake_reads_identically_and_compacts_to_zstd(ray_session, tm
     """Parquet records the codec, the encodings and the statistics per
     column chunk, so a lake whose first windows were written by older
     code (snappy, then zstd, both with statistics on every column, then
-    zstd-1 with statistics on the zone columns only — all three with
-    dictionary encoding) reads, looks up, range-scans and reports
-    max_row_seq exactly like a twin written in the current format, with
-    the same zone-map and Bloom skips; its next compaction rewrites them
-    as zstd without dictionaries, with zone-column statistics only."""
+    zstd-1 with dictionaries and zone-column statistics, then zstd-3
+    plain with zone-column statistics and a ``.bloom.npz`` sidecar; all
+    four with an ARROW:schema footer key) reads, looks up, range-scans
+    and reports max_row_seq exactly like a twin written in the current
+    format. The legacy sidecar is never read, so its file fails open:
+    the lookup's skip counts equal the twin's with that file's sidecar
+    removed. The next compaction rewrites every file in the current
+    format, and vacuum removes the legacy sidecars with their files."""
+    import glob
+
+    import numpy as np
+
+    from jitsu_ray.ops.sketch import BloomFilter
+    from jitsu_ray.sinks.lake import _LEGACY_BLOOM_SUFFIX
+    from jitsu_ray.util import hash64_column
 
     def build(name):
         lake = LakeTable.create(
             str(tmp_path / name), ["repo", "path"], 4, stats_cols=["commit"]
         )
-        for w, lo in enumerate([0, 100, 200]):
+        for w, lo in enumerate([0, 100, 200, 300]):
             rows = [
                 ev(lo + i + 1, "insert", f"r{lo + i:04d}", "f.py", f"{lo + i:05d}",
                    "py", f"body {lo + i}")
@@ -2629,41 +2679,62 @@ def test_mixed_codec_lake_reads_identically_and_compacts_to_zstd(ray_session, tm
             lake.apply_window(make_ds(rows), lo, lo + 100)
         lake.apply_window(
             make_ds([ev(900, "insert", "r0050", "f.py", "00900", "py", "updated")]),
-            300, 901,
+            400, 901,
         )
         return lake
 
     mixed, twin = build("mixed"), build("twin")
-    zone = {"commit_seq", "repo", "path", "commit"}
-    # rewrite the three data windows at the same paths in the earlier
-    # formats: window 0 snappy, the format before zstd; window 1 zstd
-    # with pyarrow's default statistics on every column, the format
-    # before zone-only statistics; window 2 zstd-1 with zone-column
-    # statistics, the format before plain encoding. Their Bloom
-    # sidecars depend on the keys only and stay as they are.
+    zone = sorted({"commit_seq", "repo", "path", "commit"})
+    # rewrite the four data windows at the same paths in the earlier
+    # formats, each with the lake's Arrow types in its ARROW:schema key:
+    # window 0 snappy, the format before zstd; window 1 zstd with
+    # pyarrow's default statistics on every column, the format before
+    # zone-only statistics; window 2 zstd-1 with zone-column
+    # statistics, the format before plain encoding; window 3 zstd-3
+    # plain with zone-column statistics, the format before lean
+    # footers, whose sidecar is also rewritten in the .npz layout.
+    # The other windows' Bloom sidecars depend on the keys only and
+    # stay as they are.
     formats = [
         {"compression": "snappy"},
         {"compression": "zstd"},
-        {"compression": "zstd", "compression_level": 1, "write_statistics": sorted(zone)},
+        {"compression": "zstd", "compression_level": 1, "write_statistics": zone},
+        {"compression": "zstd", "compression_level": 3, "use_dictionary": False,
+         "data_page_size": 8 << 20, "write_statistics": zone},
     ]
-    old = {}
-    for e, fmt in zip(mixed.ledger.entries()[:3], formats):
+    target = mixed.full_arrow_schema()
+    old, legacy_bloom = {}, []
+    for e, fmt in zip(mixed.ledger.entries()[:4], formats):
         assert e["kind"] == "window"
         for rel in e["files"].values():
             path = os.path.join(mixed.dir, rel)
-            pq.write_table(pq.read_table(path), path, **fmt)
+            tbl = pq.read_table(path, schema=target)
+            pq.write_table(tbl, path, **fmt)
             old[rel] = fmt
+            if fmt is formats[3]:
+                bf = BloomFilter.build(hash64_column(tbl, ["repo", "path"]).to_numpy())
+                with open(path + _LEGACY_BLOOM_SUFFIX, "wb") as fh:
+                    np.savez(fh, bits=bf.bits, m=np.int64(bf.m), k=np.int64(bf.k))
+                os.unlink(path + _BLOOM_SUFFIX)
+                # the twin's file fails open the same way, sidecar missing
+                os.unlink(os.path.join(twin.dir, rel) + _BLOOM_SUFFIX)
+                legacy_bloom.append(rel)
+    assert legacy_bloom
     for fs in mixed.live_files().values():
         for f in fs:
             rel = os.path.relpath(f, mixed.dir)
-            fmt = old.get(rel, {"compression": "zstd", "write_statistics": zone})
+            if rel not in old:
+                _assert_current_format(f, ["repo", "path"])
+                continue
+            fmt = old[rel]
             assert _codecs(f) == {fmt["compression"].upper()}, rel
             assert _stat_cols(f) == set(fmt.get("write_statistics", pq.read_schema(f).names))
-            assert bool(_dict_cols(f)) == (rel in old), rel
+            assert bool(_dict_cols(f)) == fmt.get("use_dictionary", True), rel
+            assert b"ARROW:schema" in _footer_keys(f), rel
 
     def views(lake):
         keys = [{"repo": "r0050", "path": "f.py"}, {"repo": "r0250", "path": "f.py"},
-                {"repo": "nope", "path": "f.py"}]
+                {"repo": "r0350", "path": "f.py"}, {"repo": "nope", "path": "f.py"}]
         got = sorted(map(str, lake.lookup(keys).to_pylist()))
         st = dict(lake.last_lookup_stats)
         band = sorted(map(str, lake.scan_range("commit", "00120", "00180").take_all()))
@@ -2681,11 +2752,11 @@ def test_mixed_codec_lake_reads_identically_and_compacts_to_zstd(ray_session, tm
     }
     for fs in mixed.live_files().values():
         for f in fs:
-            assert _codecs(f) == {"ZSTD"}
-            assert _stat_cols(f) == zone
-            assert _dict_cols(f) == set()
+            _assert_current_format(f, ["repo", "path"])
     assert _state(mixed) == _state(twin)
     assert mixed.max_row_seq() == 900
+    mixed.vacuum()
+    assert not glob.glob(os.path.join(mixed.dir, "part=*", "*" + _LEGACY_BLOOM_SUFFIX))
 
 
 def _fixed_point_lake(path: str):
@@ -2898,7 +2969,7 @@ def test_vacuum_sweeps_stragglers_and_keeps_one_pass_of_names(ray_session, tmp_p
             )
 
     def on_disk(rel):
-        return [p for p in (rel, rel + ".bloom.npz")
+        return [p for p in (rel, rel + _BLOOM_SUFFIX)
                 if os.path.exists(os.path.join(lake.dir, p))]
 
     windows(0, 3)
@@ -2943,6 +3014,60 @@ def test_vacuum_sweeps_stragglers_and_keeps_one_pass_of_names(ray_session, tmp_p
     assert sorted(ck["vacuumed"]) == third
     assert _views(Ledger(lake.ledger.dir).state()) == _views(_full_replay(lake.ledger.dir))
     assert len(lake.read().take_all()) == 7
+
+
+def test_vacuum_removes_current_and_legacy_sidecars(ray_session, tmp_path):
+    """vacuum unlinks a removed file's ``.bloom`` sidecar and a legacy
+    ``.bloom.npz`` one next to it, so a lake written before the raw
+    layout leaks no sidecar. A straggler whose only leftover is a legacy
+    sidecar (a crash after its other unlinks) is swept by the next
+    pass, with no new row."""
+    from jitsu_ray.sinks.lake import _LAKE_FILE_SUFFIXES, _LEGACY_BLOOM_SUFFIX
+
+    def paths(rel):
+        return [os.path.join(lake.dir, rel + x) for x in _LAKE_FILE_SUFFIXES]
+
+    lake = LakeTable.create(str(tmp_path / "lake"), ["repo", "path"], 1)
+    for w in range(3):
+        lake.apply_window(
+            make_ds([ev(w + 1, "insert", "r", f"p{w}", "c", "py", f"v{w}")]), w, w + 1
+        )
+    lake.compact()
+    first = sorted(lake.ledger.state().pending)
+    assert len(first) == 3
+    for f in first:  # as a lake written before the raw layout holds them
+        with open(os.path.join(lake.dir, f) + _LEGACY_BLOOM_SUFFIX, "wb") as fh:
+            fh.write(b"legacy")
+        assert all(map(os.path.exists, paths(f)))
+    out = lake.vacuum(keep_history=0)
+    assert sorted(out["removed"]) == first and out["removed_now"] == 3
+    assert not [p for f in first for p in paths(f) if os.path.exists(p)]
+    legacy = os.path.join(lake.dir, first[0]) + _LEGACY_BLOOM_SUFFIX
+    with open(legacy, "wb") as fh:
+        fh.write(b"legacy")
+    seq = lake.ledger.max_seq()
+    out = lake.vacuum(keep_history=0)
+    assert out["removed"] == [first[0]] and out["removed_now"] == 0
+    assert not os.path.exists(legacy)
+    assert lake.ledger.max_seq() == seq
+    assert len(lake.read().take_all()) == 3
+
+
+def test_only_the_lake_module_spells_a_sidecar_suffix():
+    """The Bloom sidecar suffixes are spelled once each, as constants in
+    sinks/lake.py; no other engine module spells one."""
+    import pathlib
+    import re
+
+    import jitsu_ray
+
+    root = pathlib.Path(jitsu_ray.__file__).parent
+    spelled = re.compile(r"""(["'}])\.bloom(\.npz)?["']""")
+    found = {
+        str(p.relative_to(root)): len(spelled.findall(p.read_text()))
+        for p in sorted(root.rglob("*.py"))
+    }
+    assert {p: n for p, n in found.items() if n} == {os.path.join("sinks", "lake.py"): 2}
 
 
 def test_lake_random_interleaving_matches_oracle(ray_session, tmp_path):
