@@ -21,8 +21,9 @@ There is ONE replay loop, ``Replayer.run_streaming``: small windows are
 read directly in the driver and the next one is prefetched on a
 background thread, large ones go through Ray Data; transient apply
 failures are retried, and periodic ``lake.maintain`` passes compact and
-vacuum. ``Replayer.run`` (batch replay) is that loop with large windows
-plus one final maintenance pass.
+vacuum. ``Replayer.run`` (batch replay) is that loop with large windows,
+whose last window writes each touched partition's compacted base, plus
+one final maintenance pass.
 """
 
 from __future__ import annotations
@@ -131,14 +132,20 @@ class Replayer:
         apply failures retried with backoff, a window that exhausts its
         retries raises). Every ``compact_every`` windows a maintenance
         pass folds partitions holding >= 4 files and vacuums what it
-        replaced; ``compact_at_end`` runs one more pass over partitions
-        holding >= 2 files. Seq-range windows mean nothing below the
-        committed watermark can arrive later, so both passes drop
+        replaced. ``compact_at_end`` compacts the lake by the end of the
+        run: the last window is applied with
+        ``apply_window(compact=True)``, so each partition it touches is
+        written once, as its compacted base, rather than as a delta that
+        a compaction reads back and writes again; then one more pass
+        compacts the untouched partitions holding >= 2 files and vacuums
+        every replaced file. Seq-range windows mean nothing below the
+        committed watermark can arrive later, so every fold drops
         tombstones up to it. Returns the :meth:`run_streaming` metrics,
         with the final pass counted in the wall time."""
         t0 = time.perf_counter()
         out = self.run_streaming(
-            max_seq=max_seq, compact_every=compact_every, compact_min_files=4
+            max_seq=max_seq, compact_every=compact_every, compact_min_files=4,
+            _compact_last=compact_at_end,
         )
         if compact_at_end:
             self.lake.maintain(
@@ -211,10 +218,13 @@ class Replayer:
         compact_every: int | None = None,
         compact_min_files: int = 8,
         split_over_bytes: int | None = None,
+        _compact_last: bool = False,
     ) -> dict:
         """The replay loop (§3.2); :meth:`run` is this loop with large
-        windows. Per-window commit latency is tracked, and a window gets
-        the stream-worker failure semantics of
+        windows, and sets ``_compact_last`` (apply the window that
+        reaches ``max_seq`` with ``apply_window(compact=True)``) for its
+        ``compact_at_end``. Per-window commit latency is tracked, and a
+        window gets the stream-worker failure semantics of
         server/storages/streaming.go:108-122: one whose apply fails
         TRANSIENTLY is retried in place with bounded exponential backoff
         (windows must commit in seq order because the ledger checkpoint
@@ -298,7 +308,10 @@ class Replayer:
                 committed = False
                 while True:
                     try:
-                        self.lake.apply_window(ds_window, lo, hi)
+                        if _compact_last and hi == max_seq:
+                            self.lake.apply_window(ds_window, lo, hi, compact=True)
+                        else:
+                            self.lake.apply_window(ds_window, lo, hi)
                         lat.append(time.perf_counter() - t_w)
                         committed = True
                         break

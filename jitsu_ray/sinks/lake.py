@@ -16,13 +16,15 @@ Physical design (LSM-ish, append-only):
       _ledger/00000001.json ...     # commit log (state/ledger.py)
       part=00007/delta-<lo>-<hi>.parquet   # one window's winners for part 7
       part=00007/base-<n>.parquet          # compacted state
+      part=00007/base-<lo>-<hi>.parquet    # ... a compacting window's
       part=00007/<file>.parquet.bloom      # each data file's key Bloom filter
 
 Applying a window only *appends* per-partition delta files containing
 the window's per-key winners — O(window), never O(table) — so ingest
 throughput is independent of accumulated table size. Resolution
 (per-key argmax over base+deltas, drop tombstones) happens at read time
-and is folded down by ``compact()``; both are per-partition and
+and is folded down by ``compact()`` (or by a compacting window,
+``apply_window(compact=True)``); both are per-partition and
 shuffle-free because every key hashes to exactly one partition for the
 table's lifetime.
 
@@ -431,6 +433,18 @@ def _fold_window(
     other arguments ``writer`` holds. Returns one info row per file,
     each carrying the task's own fold+write time as ``fold_sec``.
 
+    A COMPACTING window (``apply_window(compact=True)``) also carries
+    ``live`` ({partition: its live files, ledger order}), ``target`` and
+    ``watermark`` in ``writer``. A touched partition with live files is
+    then folded whole, one partition at a time: its files are read in
+    ledger order, the window's rows go after them, and the table is
+    resolved, loses its tombstones at or below ``watermark`` and is
+    written as ``base-<window_tag>``. That is the table a full
+    compaction of the files plus the window's delta resolves, so the
+    base has the same bytes. Its info gains ``replaces`` (the folded
+    files); ``rows`` and ``tombstones`` still count the window's rows,
+    ``bytes`` the base.
+
     Stateless, so a retry (a worker dying mid-fold) rewrites the same
     deterministic paths with the same bytes, and nothing outlives the
     window. Every group reads every block: zero-copy from plasma on one
@@ -441,6 +455,10 @@ def _fold_window(
     import numpy as np
 
     t0 = time.perf_counter()
+    writer = dict(writer)
+    live = writer.pop("live", {})
+    target = writer.pop("target", None)
+    watermark = writer.pop("watermark", 0)
     mine = []
     for block in blocks:
         # 0-row map outputs surface as schema-less blocks; nothing to own
@@ -460,8 +478,22 @@ def _fold_window(
         if idx.size == 0:
             continue
         merged = tbl.take(idx)
-        [info] = _write_lake_files(merged, part=p, stem=f"delta-{window_tag}", **writer)
         n_tomb = pc.sum(pc.equal(merged[OP_COL], TOMBSTONE)).as_py() or 0
+        files = live.get(p)
+        if files:
+            old = pq.ParquetDataset(
+                [os.path.join(writer["lake_dir"], f) for f in files], schema=target
+            ).read()
+            base = resolve_keep_tombstones(
+                pa.concat_tables([old, merged.cast(target)]), writer["key_cols"]
+            )
+            [info] = _write_lake_files(
+                _drop_old_tombstones(base, watermark), part=p,
+                stem=f"base-{window_tag}", **writer,
+            )
+            info.update(rows=merged.num_rows, replaces=files)
+        else:
+            [info] = _write_lake_files(merged, part=p, stem=f"delta-{window_tag}", **writer)
         out.append({"part": p, "tombstones": n_tomb, **info})
     fold_sec = round(time.perf_counter() - t0, 3)
     return [{**r, "fold_sec": fold_sec} for r in out]
@@ -986,6 +1018,7 @@ class LakeTable:
         hi: int,
         extra_metrics: dict | None = None,
         force: bool = False,
+        compact: bool = False,
     ) -> dict:
         """Apply one micro-batch window of change events.
 
@@ -1001,7 +1034,25 @@ class LakeTable:
         file tag so it can never overwrite that window's delta files
         (a re-apply of the SAME content just adds an equal-content file
         the LWW fold resolves identically).
+
+        ``compact=True`` folds each touched partition's live files into
+        the window (``_fold_window``): such a partition gets one
+        resolved ``base-<lo>-<hi>`` file, with tombstones at or below
+        ``hi`` dropped, instead of a delta, and the window row records
+        the files it replaces (per partition, ``replaces``) for
+        :meth:`vacuum`; a checkpoint row follows. The base has the bytes
+        a full :meth:`compact` with ``tombstone_watermark=hi`` would
+        write after a plain window, which then never needs writing.
+        Touched partitions without live files get their delta as usual.
+        The contract is :meth:`maintain`'s: no concurrent applier, and
+        no later event may carry a seq at or below ``hi`` (seq-range
+        replay, ``Replayer.run``). A forced window may sit below
+        committed windows, so ``compact`` with ``force`` raises
+        ValueError.
         """
+        if compact and force:
+            raise ValueError(
+                "a forced window cannot compact: it may land below committed windows")
         st = self.ledger.state()
         if not force and hi <= st.hi:
             # Idempotent replay: window already committed (M8 / D3 analog —
@@ -1085,8 +1136,16 @@ class LakeTable:
         stream_sec = _time.perf_counter() - _t_stream
         writer = {"lake_dir": self.dir, "key_cols": key_cols,
                   "zone_cols": key_cols + self.stats_cols}
-        tasks = [_fold_window.remote(g, window_tag, writer, *refs) for g in groups if refs]
+
+        def group_writer(g: list[int]) -> dict:
+            if not compact:
+                return writer
+            return {**writer, "target": target, "watermark": hi,
+                    "live": {p: st.parts[p] for p in g if p in st.parts}}
+
+        tasks = [_fold_window.remote(g, window_tag, group_writer(g), *refs) for g in groups if refs]
         stats_rows = [r for rows in ray.get(tasks) for r in rows]
+        replaces = {str(r["part"]): r["replaces"] for r in stats_rows if "replaces" in r}
 
         entry = {
             "kind": "window",
@@ -1095,6 +1154,7 @@ class LakeTable:
             "schema_version": self.schema.version,
             "files": {str(r["part"]): r["file"] for r in stats_rows},
             "key_stats": {str(r["part"]): r["key_stats"] for r in stats_rows},
+            **({"replaces": replaces} if replaces else {}),
             "metrics": {
                 "partitions": len(stats_rows),
                 "rows_written": int(sum(r["rows"] for r in stats_rows)),
@@ -1117,6 +1177,8 @@ class LakeTable:
             },
         }
         self.ledger.append(entry)
+        if replaces:
+            self.ledger.checkpoint()  # as compact() does after its row
         if getattr(self, "_metrics", None) is not None:
             from ..state.metrics import record_window
 

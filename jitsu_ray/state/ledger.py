@@ -11,6 +11,13 @@ resync repairs) use unique tags instead — they may share bounds with a
 committed window they must never overwrite — and converge by LWW state,
 not path identity.
 
+A window row may retire files too. A COMPACTING window
+(``LakeTable.apply_window(compact=True)``, batch replay's last window)
+folds each touched partition's live files into its output and records
+them per partition in ``replaces``; ``LedgerState.apply`` folds those
+partitions exactly as a compaction row's, so vacuum, checkpoints and
+bounded views treat the replaced files alike.
+
 ONE STATE. Everything the lake reads from the log — live files per
 partition in replay order, the split topology, the max window ``hi``,
 the zone maps of live files, replaced-but-unvacuumed files (with the
@@ -33,12 +40,12 @@ lets a missing ``cursor + 1`` prove the state current.
 
 CHECKPOINTS. A ``checkpoint`` row is the serialized state as of the row
 before it, so a fresh reader (a reopened lake, another process) parses
-only the rows since the newest one. Compaction and split write one after
-their row. Its size follows the live files (their zone maps) and one
-vacuum pass, not the lake's age: a vacuum row names every file its pass
-unlinks, earlier stragglers included, so the state keeps only the newest
-row's names. History rows are never removed: a checkpoint is an
-accelerator, not a compaction.
+only the rows since the newest one. Compaction, split and a compacting
+window write one after their row. Its size follows the live files
+(their zone maps) and one vacuum pass, not the lake's age: a vacuum row
+names every file its pass unlinks, earlier stragglers included, so the
+state keeps only the newest row's names. History rows are never
+removed: a checkpoint is an accelerator, not a compaction.
 
 Replaces the reference's per-file upload status JSONs
 (server/logfiles/status_manager.go:32-110) and Redis interval
@@ -69,7 +76,14 @@ class LedgerState:
     low-hi window routed to the children would otherwise surface rows in
     partitions the pre-split view resolves independently, un-shadowing
     old versions. Checkpoint rows are ignored by bounded views: one may
-    fold windows past the bound."""
+    fold windows past the bound.
+
+    A window row with ``replaces`` folds its partitions like a
+    compaction, and the bounded view needs no extra rule for it: such a
+    window is never forced, so its ``hi`` is the highest so far, and a
+    view that has excluded any earlier window excludes it too. When the
+    view includes it, it has excluded nothing before it, so the files
+    the row replaces are exactly the ones the view holds."""
 
     def __init__(self, as_of_hi: int | None = None):
         self.as_of_hi = as_of_hi
@@ -117,8 +131,13 @@ class LedgerState:
         if kind == "window":
             self.hi = max(self.hi, int(e["hi"]))
             zones = e.get("key_stats", {})
+            replaces = e.get("replaces", {})
             for p, f in e.get("files", {}).items():
-                self._add(int(p), f, zones.get(p))
+                if p in replaces:  # a compacting window: fold like compact
+                    self._fold(int(p), {"file": f, "replaces": replaces[p],
+                                        "key_stats": zones.get(p)})
+                else:
+                    self._add(int(p), f, zones.get(p))
         elif kind == "compact":
             for p, info in e["parts"].items():
                 # tiered compactions record a LIST of folds per

@@ -436,6 +436,230 @@ def test_fold_window_retry_is_idempotent(ray_session, tmp_path, monkeypatch):
     assert _lake_fingerprint(lake) == _lake_fingerprint(ref)
 
 
+def _twin_lakes(tmp_path, n_windows=3, size=1000, seed=31):
+    """Two lakes over one changelog in ``size``-event windows: ``merged``
+    applies its last window with ``compact=True``, ``plain`` applies it
+    as a delta and then runs the full compaction that window replaces
+    (``tombstone_watermark`` = its ``hi``). Neither is vacuumed."""
+    import ray.data
+
+    from jitsu_ray.testgen import gen_changelog
+
+    tbl = gen_changelog(n_events=n_windows * size, n_repos=12, seed=seed)
+    lakes = {}
+    for name in ("merged", "plain"):
+        lake = LakeTable.create(str(tmp_path / name), ["repo", "path"], 4)
+        for i in range(n_windows):
+            last = i == n_windows - 1
+            lake.apply_window(
+                ray.data.from_arrow(tbl.slice(i * size, size)), i * size, (i + 1) * size,
+                compact=last and name == "merged",
+            )
+        if name == "plain":
+            lake.compact(min_files=2, tombstone_watermark=n_windows * size)
+        lakes[name] = lake
+    return tbl, lakes["merged"], lakes["plain"]
+
+
+def _live_bytes(lake):
+    """{partition: [bytes of each live data file and its Bloom sidecar]}."""
+    out = {}
+    for p, fs in lake.live_files().items():
+        for f in fs:
+            for path in (f, f + _BLOOM_SUFFIX):
+                with open(path, "rb") as fh:
+                    out.setdefault(p, []).append(fh.read())
+    return out
+
+
+def test_compacting_window_retry_is_idempotent(ray_session, tmp_path, monkeypatch):
+    """The fold-retry contract holds for a window that compacts: a rerun
+    over the same refs returns the same infos (bar ``fold_sec``) and
+    rewrites byte-identical base files and Bloom sidecars, and the
+    window commits once. Base files written without a ledger row (a
+    crash before the commit) stay invisible to ``read()``, and rerunning
+    ``Replayer.run()`` converges to the state of a run that never
+    crashed."""
+    import glob
+
+    import ray as _ray
+    import ray.data
+
+    from jitsu_ray.pipelines.replay import Replayer
+    from jitsu_ray.sinks import lake as lake_mod
+    from jitsu_ray.sinks.retry import PermanentSinkError
+    from jitsu_ray.testgen import gen_changelog, oracle_final_state, write_changelog
+
+    tbl = gen_changelog(n_events=1500, n_repos=8, seed=9)
+    lake = LakeTable.create(str(tmp_path / "lake"), ["repo", "path"], 4)
+    lake.apply_window(ray.data.from_arrow(tbl.slice(0, 500)), 0, 500)
+    lake.apply_window(ray.data.from_arrow(tbl.slice(500, 500)), 500, 1000)
+    before = lake.live_files()
+    real = lake_mod._fold_window
+    runs = []
+
+    class Retried:
+        """Runs each fold twice, the first attempt's files left on disk
+        as a worker killed after its writes would leave them."""
+
+        @staticmethod
+        def remote(parts, tag, writer, *refs):
+            first = _ray.get(real.remote(parts, tag, writer, *refs))
+            disk = {}
+            for r in first:
+                for f in (r["file"], r["file"] + _BLOOM_SUFFIX):
+                    with open(os.path.join(lake.dir, f), "rb") as fh:
+                        disk[f] = fh.read()
+            runs.append((parts, writer, first, disk))
+            return real.remote(parts, tag, writer, *refs)
+
+    monkeypatch.setattr(lake_mod, "_fold_window", Retried)
+    entry = lake.apply_window(
+        ray.data.from_arrow(tbl.slice(1000, 500)), 1000, 1500, compact=True)
+    monkeypatch.undo()
+    tag = "000000001000-000000001500"
+    assert entry["replaces"] and all(
+        entry["files"][p] == f"part={int(p):05d}/base-{tag}.parquet" for p in entry["replaces"])
+    untimed = lambda rows: [{k: v for k, v in r.items() if k != "fold_sec"} for r in rows]
+    for _, _, first, disk in runs:
+        for f, blob in disk.items():
+            with open(os.path.join(lake.dir, f), "rb") as fh:
+                assert fh.read() == blob  # the retry rewrote the same bytes
+        for r in untimed(first):
+            p = str(r["part"])
+            assert entry["files"][p] == r["file"]
+            assert entry["key_stats"][p] == r["key_stats"]
+            assert entry["replaces"].get(p) == r.get("replaces")
+    # the same rows folded twice more, by hand, return identical infos
+    # and leave the committed bytes as they were
+    prepped = [
+        _ray.put(lake_mod._prep_window_batch(
+            tbl.slice(1000, 500), lake.full_arrow_schema(), ["repo", "path"], 4, []))
+    ]
+    for parts, writer, first, disk in runs:
+        a = _ray.get(real.remote(parts, tag, writer, *prepped))
+        b = _ray.get(real.remote(parts, tag, writer, *prepped))
+        assert untimed(a) == untimed(b) == untimed(first)
+        for f, blob in disk.items():
+            with open(os.path.join(lake.dir, f), "rb") as fh:
+                assert fh.read() == blob
+    wins = [e for e in lake.ledger.entries() if e["kind"] == "window"]
+    assert [(e["lo"], e["hi"]) for e in wins] == [(0, 500), (500, 1000), (1000, 1500)]
+    assert lake.apply_window(
+        ray.data.from_arrow(tbl.slice(1000, 500)), 1000, 1500, compact=True)["skipped"]
+    for p, files in entry["replaces"].items():
+        assert [os.path.join(lake.dir, f) for f in files] == before[int(p)]
+
+    # a crash between the fold and the ledger row, then a rerun
+    log = str(tmp_path / "log")
+    write_changelog(log, tbl, rows_per_file=500)
+    crashed = LakeTable.create(str(tmp_path / "crashed"), ["repo", "path"], 4)
+    Replayer(log, crashed, window_size=500).run_streaming(max_seq=1000)
+    append = crashed.ledger.append
+
+    def dies_on_compacting_row(e):
+        if e.get("replaces"):
+            raise PermanentSinkError("driver died before the commit")
+        return append(e)
+
+    monkeypatch.setattr(crashed.ledger, "append", dies_on_compacting_row)
+    with pytest.raises(PermanentSinkError):
+        Replayer(log, crashed, window_size=500).run()
+    monkeypatch.undo()
+    assert glob.glob(os.path.join(crashed.dir, "part=*", f"base-{tag}.parquet"))
+    reopened = LakeTable.open(crashed.dir)
+    state = lambda rows: sorted((r["repo"], r["path"], r["commit_seq"], r["content"]) for r in rows)
+    assert state(reopened.read().take_all()) == state(
+        oracle_final_state(tbl.slice(0, 1000)).to_pylist())
+    assert all("base-" not in f for fs in reopened.live_files().values() for f in fs)
+    Replayer(log, reopened, window_size=500).run()
+    clean = LakeTable.create(str(tmp_path / "clean"), ["repo", "path"], 4)
+    Replayer(log, clean, window_size=500).run_streaming(max_seq=1000)
+    Replayer(log, clean, window_size=500).run()
+    assert _lake_fingerprint(reopened) == _lake_fingerprint(clean)
+
+
+def test_compacting_window_accounting_matches_twin(ray_session, tmp_path):
+    """A compacting window counts its own resolved rows and tombstones
+    (so ``ingest_report()``, replication and the metrics registry see
+    what a plain window reports) and every byte it wrote (the bases).
+    Its bases are byte-identical to the twin lake's compaction output,
+    and on each lake the ledger's byte counts sum to the on-disk bytes
+    of every data file the ledger named."""
+    from jitsu_ray.sinks.lake import _CHUNK_RE
+
+    _, merged, plain = _twin_lakes(tmp_path)
+    rm, rp = merged.ingest_report(), plain.ingest_report()
+    assert (rm["rows_written"], rm["tombstones"]) == (rp["rows_written"], rp["tombstones"])
+    assert {p: (d["rows"], d["tombstones"]) for p, d in rm["partitions"].items()} == {
+        p: (d["rows"], d["tombstones"]) for p, d in rp["partitions"].items()
+    }
+    last = merged.ledger.window_metrics()[-1]
+    assert set(last["replaces"]) == set(last["files"]) == {"0", "1", "2", "3"}
+    for name in last["files"].values():
+        assert not _CHUNK_RE.search(name)
+    # the merged lake's end-of-run pass finds nothing to fold
+    assert merged.maintain(min_files=2, tombstone_watermark=3000)["compact"]["parts"] == {}
+    assert _live_bytes(merged) == _live_bytes(plain)
+    assert all(len(fs) == 1 for fs in merged.live_files().values())
+    for lake in (merged, plain):
+        ledger_bytes, named = 0, set()
+        for e in lake.ledger.entries():
+            if e["kind"] == "window":
+                ledger_bytes += e["metrics"]["bytes_written"]
+                assert e["metrics"]["bytes_written"] == sum(
+                    pp["bytes"] for pp in e["metrics"]["per_partition"])
+                named.update(e["files"].values())
+            elif e["kind"] == "compact":
+                for info in e["parts"].values():
+                    for one in info if isinstance(info, list) else [info]:
+                        ledger_bytes += one["bytes"]
+                        named.add(one["file"])
+        assert ledger_bytes == sum(os.path.getsize(os.path.join(lake.dir, f)) for f in named)
+    assert rm["bytes_written"] < rp["bytes_written"] + sum(
+        one["bytes"] for e in plain.ledger.entries() if e["kind"] == "compact"
+        for one in e["parts"].values())
+    for lake in (merged, plain):
+        lake.vacuum(keep_history=0)
+    assert read_rows(merged) == read_rows(plain)
+
+
+def test_compacting_window_time_travel_and_diff(ray_session, tmp_path):
+    """Across a compacting window, on a lake that keeps history: reads,
+    lookups and diffs bounded at its ``lo`` equal the twin lake's, a
+    bound inside the window still sees the files the window replaced,
+    and once vacuumed that history raises the error naming the vacuum
+    row, as it does after a compaction. A forced window cannot
+    compact."""
+    import ray.data
+
+    tbl, merged, plain = _twin_lakes(tmp_path)
+    lo, hi = 2000, 3000
+    state = lambda rows: sorted((r["repo"], r["path"], r["commit_seq"], r["content"]) for r in rows)
+    assert state(merged.read(as_of=lo).take_all()) == state(plain.read(as_of=lo).take_all())
+    keys = [{"repo": r["repo"], "path": r["path"]} for r in tbl.slice(1990, 30).to_pylist()]
+    assert state(merged.lookup(keys, as_of=lo).to_pylist()) == state(
+        plain.lookup(keys, as_of=lo).to_pylist())
+    diff = lambda lake: sorted(
+        (r["repo"], r["path"], r["change"], r["content"])
+        for r in lake.diff_as_of(lo, hi).take_all())
+    assert diff(merged) == diff(plain) and diff(merged)
+    rel = lambda lake, live: {p: [os.path.relpath(f, lake.dir) for f in fs] for p, fs in live.items()}
+    pre = rel(merged, merged.live_files(as_of=lo))
+    assert rel(merged, merged.live_files(as_of=lo + 500)) == pre
+    assert pre == rel(plain, plain.live_files(as_of=lo))
+    assert all("delta-" in f for fs in pre.values() for f in fs)
+    for lake in (merged, plain):
+        vac = lake.vacuum(keep_history=0)
+        seq = lake.ledger.max_seq()
+        assert vac["removed"]
+        with pytest.raises(FileNotFoundError, match=f"removed by vacuum ledger row {seq} "):
+            lake.read(as_of=lo).take_all()
+    with pytest.raises(ValueError, match="forced window cannot compact"):
+        merged.apply_window(
+            ray.data.from_arrow(tbl.slice(0, 10)), 0, 10, force=True, compact=True)
+
+
 def test_metrics_registry_counters_and_gauges(ray_session, tmp_path):
     """A3/A4: lake windows push success counters + throughput/pool
     gauges to the named registry; sink reports land as counters too."""

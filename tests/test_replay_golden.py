@@ -580,3 +580,46 @@ def test_streaming_compaction_spool_safe(ray_session, tmp_path):
     keys = {(r["repo"], r["path"]) for r in lake.read().take_all()}
     # the delete @2500 must still win over the recovered update @1500
     assert ("rX", "special") not in keys
+
+
+def test_batch_replay_writes_last_window_as_compacted_base(ray_session, tmp_path):
+    """Batch replay's last window writes each partition it touches as
+    the compacted base, so no compaction rewrites it: the ledger ends
+    window, checkpoint, vacuum with no compact row, and each partition
+    holds one live file, byte-identical (data and Bloom sidecar) to the
+    base a replay of plain windows plus the same compaction writes."""
+    import os
+
+    from jitsu_ray.sinks.lake import _BLOOM_SUFFIX
+
+    tbl = gen_changelog(n_events=3000, n_repos=10, seed=41)
+    log = str(tmp_path / "log")
+    write_changelog(log, tbl, rows_per_file=1000)
+    lake, metrics = replay_changelog(log, str(tmp_path / "lake"), num_partitions=4,
+                                     window_size=1000)
+    assert metrics["windows"] == 3
+    entries = lake.ledger.entries()
+    kinds = [e["kind"] for e in entries]
+    assert "compact" not in kinds and kinds[-3:] == ["window", "checkpoint", "vacuum"]
+    assert set(entries[-3]["replaces"]) == set(entries[-3]["files"]) == {"0", "1", "2", "3"}
+
+    twin = LakeTable.create(str(tmp_path / "twin"), ["repo", "path"], 4)
+    Replayer(log, twin, window_size=1000).run_streaming()
+    twin.maintain(min_files=2, tombstone_watermark=twin.last_committed_hi(), keep_history=0)
+    assert "compact" in [e["kind"] for e in twin.ledger.entries()]
+
+    def blobs(lk):
+        out = {}
+        for p, fs in lk.live_files().items():
+            assert len(fs) == 1
+            with open(fs[0], "rb") as f, open(fs[0] + _BLOOM_SUFFIX, "rb") as g:
+                out[p] = (f.read(), g.read())
+        return out
+
+    assert blobs(lake) == blobs(twin)
+    assert sorted(os.listdir(os.path.join(lake.dir, "part=00000"))) == [
+        "base-000000002000-000000003000.parquet",
+        "base-000000002000-000000003000.parquet" + _BLOOM_SUFFIX,
+    ]
+    exp = state_fingerprint(oracle_final_state(tbl).to_pylist())
+    assert state_fingerprint(lake.read().take_all()) == exp
