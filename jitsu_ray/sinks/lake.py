@@ -484,12 +484,10 @@ def _fold_window(
             old = pq.ParquetDataset(
                 [os.path.join(writer["lake_dir"], f) for f in files], schema=target
             ).read()
-            base = resolve_keep_tombstones(
-                pa.concat_tables([old, merged.cast(target)]), writer["key_cols"]
-            )
-            [info] = _write_lake_files(
-                _drop_old_tombstones(base, watermark), part=p,
-                stem=f"base-{window_tag}", **writer,
+            # unclustered, so one file and no chunk size to estimate
+            [info] = _fold_and_write(
+                pa.concat_tables([old, merged.cast(target)]), p, f"base-{window_tag}",
+                watermark, {**writer, "chunk_bytes": None}, 0,
             )
             info.update(rows=merged.num_rows, replaces=files)
         else:
@@ -585,16 +583,23 @@ def _fold_child(
     return _fold_and_write(tbl, child, stem, watermark, layout, in_bytes)
 
 
-def _read_partition(
-    files: list[str], narrow: list[bool], target: pa.Schema, cols: list[str],
-    narrow_cols: list[str],
+def _read_unit(
+    files: list[str], target: pa.Schema, key_cols: list[str], cols: list[str],
+    narrow: list[bool] | None = None, keys: pa.Table | None = None,
 ) -> pa.Table:
-    """One partition's files as one table of ``cols``, in ledger order
-    (the LWW tie order). A file flagged ``narrow`` contributes only
-    ``narrow_cols``, its other columns NULL; each run of consecutive
-    files with one column set is one parquet scan."""
+    """The one lake reader: ``files`` in ledger order (the LWW tie
+    order) as one LWW-resolved table of ``cols``. A file flagged
+    ``narrow`` contributes only its key, seq and op columns, its other
+    columns NULL; each run of consecutive files with one column set is
+    one parquet scan. With ``keys``, only those keys' rows are resolved
+    (exact polars semi-join, composite-key safe): resolving a key's own
+    rows equals global resolution, because all of its versions live in
+    its one partition."""
+    narrow_cols = sorted({OP_COL, SEQ_COL, *key_cols})
     tables = []
-    for is_narrow, grp in itertools.groupby(zip(files, narrow), key=lambda fn: fn[1]):
+    for is_narrow, grp in itertools.groupby(
+        zip(files, narrow or [False] * len(files)), key=lambda fn: fn[1]
+    ):
         t = pq.ParquetDataset([f for f, _ in grp], schema=target).read(
             columns=narrow_cols if is_narrow else cols
         )
@@ -606,85 +611,95 @@ def _read_partition(
                 }
             )
         )
-    return pa.concat_tables(tables)
+    t = pa.concat_tables(tables)
+    if keys is not None:
+        t = (
+            pl.from_arrow(t)
+            # nulls_equal: IS NOT DISTINCT FROM key equality — a requested
+            # NULL key must match the lake's null-keyed row (partition
+            # routing and the Bloom sidecar already treat it as a real key
+            # via fill_null(''); the semi join must not drop it at the end)
+            .join(pl.from_arrow(keys), on=key_cols, how="semi", nulls_equal=True)
+            .to_arrow()
+            .cast(t.schema)
+        )
+    return resolve_arrow(t, key_cols)
 
 
-def _resolve_runs(
-    batch: pa.Table, target: pa.Schema, key_cols: list[str], cols: list[str],
-    out_cols: list[str], narrow_cols: list[str], rng: tuple | None,
+def _read_run(
+    run: list[dict], target: pa.Schema, key_cols: list[str], cols: list[str],
+    out_cols: list[str], out_schema: pa.Schema, rng: tuple | None = None,
+    diff: dict | None = None,
 ) -> pa.Table:
-    """``read``/``scan_range``'s map function. Each row of ``batch`` is
-    one run of whole partitions; each partition is read
-    (``_read_partition``) and LWW-resolved on its own, then, for a range
-    scan, filtered to ``rng = (col, lo, hi)`` (NULL never matches).
-    Partitions come out in run order."""
-    tables = []
-    for run in batch["parts"].to_pylist():
-        for part in run:
-            t = resolve_arrow(
-                _read_partition(part["files"], part["narrow"], target, cols, narrow_cols),
-                key_cols,
-            )
-            if rng is not None:
-                col, lo, hi = rng
-                keep = pc.and_kleene(pc.greater_equal(t[col], lo), pc.less_equal(t[col], hi))
-                t = t.filter(pc.fill_null(keep, False))
-            tables.append(t.select(out_cols))
-    return pa.concat_tables(tables)
+    """Read one run of plan units (``LakeTable._plan``), unit by unit in
+    run order. A unit's ``files`` are read and resolved by
+    ``_read_unit`` with its ``narrow`` flags or ``keys``, filtered to
+    ``rng = (col, lo, hi)`` for a range scan (NULL never matches), and
+    cut to ``out_cols``. A DIFF unit (``diff`` holds ``base``,
+    ``splits_b`` and ``include_old``) is an a-state resolved ONCE, then
+    diffed against each of its ``children``' b-states; when ``route``
+    (a split lies between the cutoffs) each child sees only the a-rows
+    that b's topology routes to it."""
 
+    def resolved(unit: dict) -> pa.Table:
+        if not unit["files"]:  # a diff side with no files
+            return pa.schema([target.field(c) for c in out_cols]).empty_table()
+        t = _read_unit(unit["files"], target, key_cols, cols, unit.get("narrow"), unit.get("keys"))
+        if rng is not None:
+            col, lo, hi = rng
+            keep = pc.and_kleene(pc.greater_equal(t[col], lo), pc.less_equal(t[col], hi))
+            t = t.filter(pc.fill_null(keep, False))
+        return t.select(out_cols)
 
-def _diff_runs(
-    batch: pa.Table, target: pa.Schema, key_cols: list[str], cols: list[str],
-    out_cols: list[str], payload: list[str], base: int, splits_b: list,
-    include_old: bool, out_schema: pa.Schema,
-) -> pa.Table:
-    """``diff_as_of``'s map function. Each row of ``batch`` is one run of
-    diff units: an a-state file list (a parent's, when ``route_a``) and
-    the b-children diffed against it. The a-state is read and
-    LWW-resolved ONCE per unit, then sliced per child by b-topology
-    routing."""
-
-    def load(files) -> pa.Table:
-        t = pq.ParquetDataset(files, schema=target).read(columns=cols)
-        return resolve_arrow(t, key_cols)
-
-    state_schema = pa.schema([target.field(c) for c in out_cols])
     outs = []
-    for run in batch["units"].to_pylist():
-        for unit in run:
-            ra = load(unit["files_a"]) if unit["files_a"] else None
-            ids = (
-                hash_route_column(ra, key_cols, base, splits_b)
-                if ra is not None and unit["route_a"]
-                else None
+    for unit in run:
+        t = resolved(unit)
+        if diff is None:
+            outs.append(t)
+            continue
+        ids = (
+            hash_route_column(t, key_cols, diff["base"], diff["splits_b"])
+            if unit["route"] and t.num_rows
+            else None
+        )
+        for child in unit["children"]:
+            da = t if ids is None else t.filter(pc.equal(ids, child["part"]))
+            outs.append(
+                _diff_states(da, resolved(child), key_cols, diff["include_old"]).cast(out_schema)
             )
-            for child in unit["children"]:
-                if ra is None:
-                    da = pl.from_arrow(state_schema.empty_table())
-                elif ids is not None:
-                    da = pl.from_arrow(
-                        ra.filter(pc.equal(ids, child["part"])).select(out_cols)
-                    )
-                else:
-                    da = pl.from_arrow(ra.select(out_cols))
-                db = (
-                    pl.from_arrow(load(child["files_b"]).select(out_cols))
-                    if child["files_b"]
-                    else pl.from_arrow(state_schema.empty_table())
-                )
-                outs.append(
-                    _diff_states(da, db, key_cols, payload, include_old).cast(out_schema)
-                )
     return pa.concat_tables(outs) if outs else out_schema.empty_table()
 
 
+def _read_plan(batch: pa.Table, **kw) -> pa.Table:
+    """The map function of every planned Dataset read (``read``,
+    ``scan_range``, ``diff_as_of``): each row of ``batch`` is one run,
+    read by ``_read_run`` with ``kw``."""
+    return pa.concat_tables([_read_run(run, **kw) for run in batch["units"].to_pylist()])
+
+
+@ray.remote(num_cpus=0)
+def _lookup_run(run: list[dict], **kw) -> pa.Table:
+    """``lookup``'s task: one run of partitions read as ONE unit — one
+    parquet scan over all their kept files (partition order, each
+    partition's in ledger order) and one semi-join to all their keys.
+    That equals resolving each partition apart, because keys never
+    cross partitions. Zero-cpu: a handful of row-group reads, scheduled
+    without starving pipeline stages."""
+    unit = {
+        "files": [f for u in run for f in u["files"]],
+        "keys": pa.concat_tables([u["keys"] for u in run]),
+    }
+    return _read_run([unit], **kw)
+
+
 def _diff_states(
-    da: pl.DataFrame, db: pl.DataFrame, key_cols: list[str], payload: list[str],
-    include_old: bool,
+    da: pa.Table, db: pa.Table, key_cols: list[str], include_old: bool,
 ) -> pa.Table:
-    """One partition's diff of two resolved states (``diff_as_of``)."""
-    da = da.with_columns(pl.lit(True).alias("__a"))
-    db = db.with_columns(pl.lit(True).alias("__b"))
+    """One partition's diff of two resolved states of the same columns
+    (``diff_as_of``); every non-key column is payload."""
+    payload = [c for c in da.column_names if c not in key_cols]
+    da = pl.from_arrow(da).with_columns(pl.lit(True).alias("__a"))
+    db = pl.from_arrow(db).with_columns(pl.lit(True).alias("__b"))
     # nulls_equal: a null-keyed row present unchanged in both states
     # must JOIN (and emit nothing), not split into a same-seq
     # delete+insert pair whose LWW tie a downstream replication apply
@@ -738,36 +753,6 @@ def _tombstones_for(
     for k in key_cols:
         cols[k] = keys[k]
     return pa.table(cols)
-
-
-@ray.remote(num_cpus=0)
-def _lookup_partition(
-    files: list[str],
-    ktab: pa.Table,
-    target: pa.Schema,
-    phys_cols: list[str],
-    key_cols: list[str],
-    out_cols: list[str],
-) -> pa.Table:
-    """One run of partitions' pruned point lookup: read only the kept
-    files (zone map, Bloom sidecar; in partition order, each partition's
-    in ledger order), exact semi-join to the run's requested keys
-    (polars, composite-key safe), then LWW-resolve — resolution over just
-    the keys' own rows equals global resolution because all of a key's
-    versions live in its one partition. Zero-cpu: a handful of row-group
-    reads, scheduled without starving pipeline stages."""
-    t = pq.ParquetDataset(files, schema=target).read(columns=phys_cols)
-    hit = (
-        pl.from_arrow(t)
-        # nulls_equal: IS NOT DISTINCT FROM key equality — a requested
-        # NULL key must match the lake's null-keyed row (partition
-        # routing and the Bloom sidecar already treat it as a real key
-        # via fill_null(''); the semi join must not drop it at the end)
-        .join(pl.from_arrow(ktab), on=key_cols, how="semi", nulls_equal=True)
-        .to_arrow()
-        .cast(t.schema)
-    )
-    return resolve_arrow(hit, key_cols).select(out_cols)
 
 
 def _zone_may_contain(stats: dict, keys: pa.Table) -> bool:
@@ -1244,41 +1229,60 @@ class LakeTable:
         tag = None if as_of is None else f"time-travel as_of={as_of}"
         live = self._live_paths(self.ledger.state(as_of), tag)
         target = self.full_arrow_schema()
-        out_cols = self._out_cols(target, columns)
-        parts = [
-            {"files": fs, "narrow": [False] * len(fs)} for _, fs in sorted(live.items())
-        ]
-        ds, _ = self._resolved_scan(parts, target, sorted({OP_COL, SEQ_COL, *out_cols}), out_cols)
-        return ds
+        units = [{"files": fs} for _, fs in sorted(live.items())]
+        return self._plan_dataset(units, target, self._out_cols(target, columns))[0]
 
     def _out_cols(self, target: pa.Schema, columns: list[str] | None) -> list[str]:
-        """A read's output columns: ``columns`` (every payload column when
-        None) plus the key and ``commit_seq`` columns."""
+        """A read's output columns: ``columns`` plus the key columns, or,
+        when None, every payload column plus the key and ``commit_seq``
+        columns."""
         out = [f.name for f in target if f.name not in (PART_COL, OP_COL)]
         if columns:
             out = [c for c in out if c in columns or c in self.key_cols]
         return out
 
-    def _resolved_scan(
-        self, parts: list[dict], target: pa.Schema, cols: list[str],
-        out_cols: list[str], rng: tuple | None = None,
+    def _plan(
+        self, units: list[dict], target: pa.Schema, out_cols: list[str],
+        rng: tuple | None = None, diff: dict | None = None,
+    ) -> tuple[list[list[dict]], dict]:
+        """The read planner's packer, behind every lake read. ``units``
+        come one per partition (a diff: one per a-parent), in partition
+        order, each holding its ``files`` in ledger order plus ``narrow``
+        flags (``scan_range``), ``keys`` (``lookup``) or ``children``
+        (``diff_as_of``). They are packed whole, by the on-disk bytes of
+        their files (a diff unit's children included), into runs of at
+        most ``_READ_TASK_BYTES``. Returns the runs and ``_read_run``'s
+        keyword arguments; their ``out_schema`` (``out_cols``, plus a
+        diff's ``<col>__old`` and ``change`` columns) gives the empty
+        result."""
+        runs = _read_runs(
+            units,
+            [u["files"] + [f for c in u.get("children", ()) for f in c["files"]] for u in units],
+        )
+        fields = [target.field(c) for c in out_cols]
+        if diff is not None:
+            if diff["include_old"]:
+                fields += [
+                    pa.field(f"{c}__old", target.field(c).type)
+                    for c in out_cols if c not in self.key_cols
+                ]
+            fields.append(pa.field("change", pa.string()))
+        return runs, dict(
+            target=target, key_cols=self.key_cols,
+            cols=sorted({OP_COL, SEQ_COL, *out_cols, *(rng or ())[:1]}),
+            out_cols=out_cols, out_schema=pa.schema(fields), rng=rng, diff=diff,
+        )
+
+    def _plan_dataset(
+        self, units: list[dict], target: pa.Schema, out_cols: list[str], **post,
     ) -> tuple["ray.data.Dataset", int]:
-        """The Dataset of ``read`` and ``scan_range``, and its task count:
-        ``parts`` (one per partition, in partition order: its files and
-        their narrow flags) packed into byte-bounded runs, one Ray Data
-        item and one ``_resolve_runs`` call each."""
-        if not parts:
-            empty = pa.schema([target.field(c) for c in out_cols]).empty_table()
-            return ray.data.from_arrow(empty), 0
-        runs = _read_runs(parts, [p["files"] for p in parts])
-        ds = ray.data.from_items([{"parts": r} for r in runs]).map_batches(
-            _resolve_runs,
-            batch_size=1,
-            batch_format="pyarrow",
-            fn_kwargs=dict(
-                target=target, key_cols=self.key_cols, cols=cols, out_cols=out_cols,
-                narrow_cols=sorted({OP_COL, SEQ_COL, *self.key_cols}), rng=rng,
-            ),
+        """A planned read (``_plan``) as a Dataset, and its task count:
+        one Ray Data item and one ``_read_plan`` call per run."""
+        runs, kw = self._plan(units, target, out_cols, **post)
+        if not runs:
+            return ray.data.from_arrow(kw["out_schema"].empty_table()), 0
+        ds = ray.data.from_items([{"units": r} for r in runs]).map_batches(
+            _read_plan, batch_size=1, batch_format="pyarrow", fn_kwargs=kw,
         )
         return ds, len(runs)
 
@@ -1319,7 +1323,7 @@ class LakeTable:
                 return True  # no bounds recorded -> never prunable
             return not (mx < lo or mn > hi)
 
-        parts = []
+        units = []
         n_full = n_narrow = 0
         for p, fs in sorted(live.items()):
             narrow = [not overlaps(f) for f in fs]
@@ -1327,11 +1331,8 @@ class LakeTable:
                 continue  # no in-range version can exist in this partition
             n_narrow += sum(narrow)
             n_full += len(fs) - sum(narrow)
-            parts.append({"files": fs, "narrow": narrow})
-        ds, tasks = self._resolved_scan(
-            parts, target, sorted({OP_COL, SEQ_COL, col, *out_cols}), out_cols,
-            (col, lo, hi),
-        )
+            units.append({"files": fs, "narrow": narrow})
+        ds, tasks = self._plan_dataset(units, target, out_cols, rng=(col, lo, hi))
         self.last_scan_stats = {
             "files_total": sum(len(fs) for fs in live.values()),
             "files_full": n_full,
@@ -1389,9 +1390,12 @@ class LakeTable:
 
         The touched partitions' kept files are packed, in partition
         order, into runs of at most ``_READ_TASK_BYTES`` on-disk bytes,
-        and each run is ONE ``_lookup_partition`` task over its files and
-        keys — one task for a small lake, however many partitions the
-        keys span.
+        and each run is ONE zero-cpu ``_lookup_run`` task that reads its
+        files and semi-joins its keys through the shared reader
+        (``_read_unit``) — one task for a small lake, however many
+        partitions the keys span. A direct task, not a Dataset: a
+        streaming loop looks up once per window, and the task's latency
+        is the lookup's.
 
         ``keys``: list[dict] or pa.Table holding exactly the key
         columns. Returns a pa.Table (point lookups are small by
@@ -1402,68 +1406,43 @@ class LakeTable:
         if isinstance(keys, list):
             keys = pa.Table.from_pylist(keys)
         target = self.full_arrow_schema()
-        out_cols = self._out_cols(target, columns)
-        if keys.num_rows == 0:
-            self.last_lookup_stats = {
-                "keys": 0, "files_total": 0, "files_read": 0,
-                "files_zone_skipped": 0, "files_bloom_skipped": 0,
-                "partitions_total": 0, "partitions_read": 0, "tasks": 0,
-            }
-            return pa.schema([target.field(c) for c in out_cols]).empty_table()
-        keys = pa.table(
-            {c: pc.cast(keys[c], target.field(c).type) for c in self.key_cols}
-        )
-        st = self.ledger.state(as_of)  # ONE state feeds all three views
-        parts = hash_route_column(keys, self.key_cols, self.num_partitions, st.splits)
-        parts_np = parts.to_numpy(zero_copy_only=False)
-        live = self._live_paths(
-            st, None if as_of is None else f"time-travel as_of={as_of}"
-        )
-        stats = st.zones
-        phys_cols = sorted({OP_COL, SEQ_COL, *self.key_cols, *out_cols})
         key_cols = self.key_cols
-
-        by_part: dict[int, list[int]] = {}
-        for i, p in enumerate(parts_np):
-            by_part.setdefault(int(p), []).append(i)
+        units, live = [], {}
         zone_skipped = bloom_skipped = 0
-        units, kept_files = [], []
-        for p, idx in sorted(by_part.items()):
-            ktab = keys.take(idx)
-            kh = hash64_column(ktab, key_cols).to_numpy(zero_copy_only=False)
-            kept = []
-            for f in live.get(p, []):
-                if not _zone_may_contain(
-                    stats.get(os.path.relpath(f, self.dir), {}), ktab
-                ):
-                    zone_skipped += 1
-                elif not _bloom_may_contain(f, kh):
-                    bloom_skipped += 1
-                else:
-                    kept.append(f)
-            if kept:
-                units.append((kept, ktab))
-                kept_files.append(kept)
-        runs = _read_runs(units, kept_files)
-        tasks = [
-            _lookup_partition.remote(
-                [f for kept, _ in run for f in kept],
-                pa.concat_tables([ktab for _, ktab in run]),
-                target, phys_cols, key_cols, out_cols,
-            )
-            for run in runs
-        ]
+        if keys.num_rows:
+            keys = pa.table({c: pc.cast(keys[c], target.field(c).type) for c in key_cols})
+            st = self.ledger.state(as_of)  # ONE state feeds all three views
+            live = self._live_paths(st, None if as_of is None else f"time-travel as_of={as_of}")
+            parts = hash_route_column(keys, key_cols, self.num_partitions, st.splits)
+            by_part: dict[int, list[int]] = {}
+            for i, p in enumerate(parts.to_numpy(zero_copy_only=False)):
+                by_part.setdefault(int(p), []).append(i)
+            for p, idx in sorted(by_part.items()):
+                ktab = keys.take(idx)
+                kh = hash64_column(ktab, key_cols).to_numpy(zero_copy_only=False)
+                kept = []
+                for f in live.get(p, []):
+                    if not _zone_may_contain(st.zones.get(os.path.relpath(f, self.dir), {}), ktab):
+                        zone_skipped += 1
+                    elif not _bloom_may_contain(f, kh):
+                        bloom_skipped += 1
+                    else:
+                        kept.append(f)
+                if kept:
+                    units.append({"files": kept, "keys": ktab})
+        runs, kw = self._plan(units, target, self._out_cols(target, columns))
+        tasks = [_lookup_run.remote(run, **kw) for run in runs]
         self.last_lookup_stats = {
             "keys": keys.num_rows,
             "files_total": sum(len(fs) for fs in live.values()),
-            "files_read": sum(map(len, kept_files)),
+            "files_read": sum(len(u["files"]) for u in units),
             "files_zone_skipped": zone_skipped,
             "files_bloom_skipped": bloom_skipped,
             "partitions_total": len(live),
             "partitions_read": len(units),
             "tasks": len(tasks),
         }
-        empty = pa.schema([target.field(c) for c in out_cols]).empty_table()
+        empty = kw["out_schema"].empty_table()
         got = [t for t in ray.get(tasks) if t.num_rows]
         return pa.concat_tables([empty, *got]) if got else empty
 
@@ -1495,8 +1474,8 @@ class LakeTable:
         partitions packed into tasks of at most ``_READ_TASK_BYTES``
         on-disk bytes — a partition's files at both cutoffs are
         co-located by construction, so a task resolves both states of
-        each of its partitions locally and diffs them with one vectorized
-        polars full join (``_diff_runs``). Cost is O(|state_a| +
+        each of its partitions locally (``_read_unit``) and diffs them
+        with one vectorized polars full join (``_read_run``). Cost is O(|state_a| +
         |state_b|), never a cross-partition exchange. Subject to the same
         vacuumed-history rule as time travel.
         """
@@ -1526,28 +1505,16 @@ class LakeTable:
                 f"'<col>__old' are join-suffix names — rename or prune via "
                 f"columns=[...]"
             )
-        phys_cols = sorted({OP_COL, SEQ_COL, *out_cols})
-        old_fields = (
-            [pa.field(f"{c}__old", target.field(c).type) for c in payload]
-            if include_old
-            else []
-        )
-        out_schema = pa.schema(
-            [target.field(c) for c in out_cols]
-            + old_fields
-            + [pa.field("change", pa.string())]
-        )
         splits_a, splits_b = st_a.splits, st_b.splits
         base = self.num_partitions
         if splits_a == splits_b:
-            parts = sorted(set(live_a) | set(live_b))
-            items = [
+            units = [
                 {
-                    "files_a": live_a.get(p, []),
-                    "route_a": False,
-                    "children": [{"part": p, "files_b": live_b.get(p, [])}],
+                    "files": live_a.get(p, []),
+                    "route": False,
+                    "children": [{"part": p, "files": live_b.get(p, [])}],
                 }
-                for p in parts
+                for p in sorted(set(live_a) | set(live_b))
             ]
         else:
             # a PARTITION SPLIT lies between the cutoffs: pairing by raw
@@ -1580,36 +1547,16 @@ class LakeTable:
                 fb = live_b.get(c, [])
                 pa_id = a_part_of(c)
                 if live_a.get(pa_id) or fb:
-                    by_parent.setdefault(pa_id, []).append(
-                        {"part": c, "files_b": fb}
-                    )
-            items = [
-                {
-                    "files_a": live_a.get(pa_id, []),
-                    "route_a": True,
-                    "children": children,
-                }
+                    by_parent.setdefault(pa_id, []).append({"part": c, "files": fb})
+            # a split's a-parent and all its b-children stay one unit
+            units = [
+                {"files": live_a.get(pa_id, []), "route": True, "children": children}
                 for pa_id, children in sorted(
                     by_parent.items(), key=lambda kv: (kv[0] is None, kv[0])
                 )
             ]
-        if not items:
-            return ray.data.from_arrow(out_schema.empty_table())
-        # a split's a-parent and all its b-children stay one unit
-        runs = _read_runs(
-            items,
-            [it["files_a"] + [f for c in it["children"] for f in c["files_b"]] for it in items],
-        )
-        return ray.data.from_items([{"units": r} for r in runs]).map_batches(
-            _diff_runs,
-            batch_size=1,
-            batch_format="pyarrow",
-            fn_kwargs=dict(
-                target=target, key_cols=key_cols, cols=phys_cols, out_cols=out_cols,
-                payload=payload, base=base, splits_b=splits_b,
-                include_old=include_old, out_schema=out_schema,
-            ),
-        )
+        diff = {"base": base, "splits_b": splits_b, "include_old": include_old}
+        return self._plan_dataset(units, target, out_cols, diff=diff)[0]
 
     # -- maintenance --------------------------------------------------------
 

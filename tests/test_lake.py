@@ -1652,8 +1652,9 @@ def test_scan_range_zone_pruned_and_resurrection_safe(ray_session, tmp_path):
 def test_scan_range_keeps_ledger_tie_order(ray_session, tmp_path):
     """scan_range reads every file in its ledger position with its own
     column set: a forced repair window that rewrites a key at the SAME
-    commit_seq wins the tie as in read() and lookup(), even when the
-    earlier file is only read narrow (its value is out of range)."""
+    commit_seq wins the tie as in read(), lookup() and diff_as_of(),
+    even when the earlier file is only read narrow (its value is out of
+    range)."""
     import ray.data
 
     lake = LakeTable.create(str(tmp_path / "lake"), ["k"], 1, stats_cols=["v"])
@@ -1673,6 +1674,8 @@ def test_scan_range_keeps_ledger_tie_order(ray_session, tmp_path):
     assert got == [("a", 1)]
     st = lake.last_scan_stats
     assert (st["files_full"], st["files_narrow"]) == (1, 1)
+    diff = [(r["k"], r["v"], r["change"]) for r in lake.diff_as_of(0, 5).take_all()]
+    assert diff == [("a", 1, "insert")]
 
 
 def test_read_packing_equivalent(ray_session, tmp_path, monkeypatch):
@@ -4126,7 +4129,9 @@ def test_lake_map_functions_are_module_level():
     """Every ``map_batches`` call in ``sinks/lake.py`` passes a
     module-level function, never a nested def or a lambda: its per-call
     arguments go through ``fn_kwargs``, so a read or a window defines no
-    new function for Ray Data to register."""
+    new function for Ray Data to register. The functions are exactly the
+    window prep, the read planner's map function and delete_where's
+    tombstone map."""
     import ast
     import pathlib
 
@@ -4140,12 +4145,14 @@ def test_lake_map_functions_are_module_level():
         and isinstance(node.func, ast.Attribute)
         and node.func.attr == "map_batches"
     ]
-    assert len(calls) >= 4  # apply_window, read/scan_range, diff_as_of, delete_where
     bad = [
         node.lineno for node in calls
         if not (isinstance(node.args[0], ast.Name) and node.args[0].id in module_fns)
     ]
     assert not bad, f"map_batches with a non-module-level function at lines {bad}"
+    assert {node.args[0].id for node in calls} == {
+        "_prep_window_batch", "_read_plan", "_tombstones_for"
+    }
 
 
 def test_lake_parquet_written_only_by_write_lake_files():
@@ -4170,3 +4177,27 @@ def test_lake_parquet_written_only_by_write_lake_files():
         and node.attr in ("write_table", "ParquetWriter")
     ]
     assert [fn for _, fn in writes] == ["_write_lake_files"], writes
+
+
+def test_lake_parquet_read_only_by_the_shared_reader():
+    """In ``sinks/lake.py`` only the read planner's per-unit reader
+    (``_read_unit``) and the maintenance and fold tasks open a
+    ``pq.ParquetDataset``: ``read``, ``scan_range``, ``lookup`` and
+    ``diff_as_of`` all read through the one reader."""
+    import ast
+    import pathlib
+
+    import jitsu_ray.sinks.lake as lake_mod
+
+    tree = ast.parse(pathlib.Path(lake_mod.__file__).read_text())
+    owner = {}
+    for fn in ast.walk(tree):
+        if isinstance(fn, (ast.FunctionDef, ast.AsyncFunctionDef)):
+            for node in ast.walk(fn):
+                owner.setdefault(id(node), fn.name)  # outermost function
+    readers = {
+        owner.get(id(node))
+        for node in ast.walk(tree)
+        if isinstance(node, ast.Attribute) and node.attr == "ParquetDataset"
+    }
+    assert readers == {"_read_unit", "_compact_fold", "_route_group", "_fold_window"}, readers
