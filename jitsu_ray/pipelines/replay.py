@@ -18,8 +18,9 @@ replay from any checkpoint reproduces identical table state because the
 merge is idempotent and order-independent.
 
 There is ONE replay loop, ``Replayer.run_streaming``: small windows are
-read directly in the driver and the next one is prefetched on a
-background thread, large ones go through Ray Data; transient apply
+read directly in the driver as a ``pa.Table`` (applied with no Ray Data
+stage) and the next one is prefetched on a background thread, large ones
+go through the Ray Data pipeline above; transient apply
 failures are retried, and periodic ``lake.maintain`` passes compact and
 vacuum. ``Replayer.run`` (batch replay) is that loop with large windows,
 whose last window writes each touched partition's compacted base, plus
@@ -162,12 +163,15 @@ class Replayer:
     # (measured at 1k rows), which IS the latency floor otherwise
     STREAM_DIRECT_READ_BYTES = 32 << 20
 
-    def _window_dataset_fast(self, lo: int, hi: int) -> "ray.data.Dataset":
+    def _window_dataset_fast(self, lo: int, hi: int) -> "pa.Table | ray.data.Dataset":
         """Small-window streaming read: footer-pruned file list + one
         filtered driver-side parquet read (row groups pruned by seq
-        stats), enrichers applied in-process. Semantically identical to
-        window_dataset — proven by the streaming tests converging to the
-        batch replay's state."""
+        stats), enrichers applied in-process. Returns the window as a
+        ``pa.Table``, which ``apply_window`` preps in the driver, so the
+        window starts no Ray Data execution (a window no log file
+        overlaps falls back to ``window_dataset``). Semantically
+        identical to window_dataset — proven by the streaming tests
+        converging to the batch replay's state."""
         paths = [f for f, mn, mx in self._file_stats if mx > lo and mn <= hi]
         if not paths:
             return self.window_dataset(lo, hi)
@@ -178,12 +182,12 @@ class Replayer:
         tbl = pa.concat_tables(tables).replace_schema_metadata(None)
         for fn in self.enrichers:
             tbl = fn(tbl)
-        return ray.data.from_arrow(tbl)
+        return tbl
 
     def _direct_read(self, lo: int, hi: int) -> bool:
         return (hi - lo) * self._row_bytes <= self.STREAM_DIRECT_READ_BYTES
 
-    def _stream_window(self, lo: int, hi: int) -> "ray.data.Dataset":
+    def _stream_window(self, lo: int, hi: int) -> "pa.Table | ray.data.Dataset":
         if self._direct_read(lo, hi):
             return self._window_dataset_fast(lo, hi)
         return self.window_dataset(lo, hi)
@@ -252,14 +256,19 @@ class Replayer:
 
         READS AND PIPELINING: a window whose estimated bytes fit
         ``STREAM_DIRECT_READ_BYTES`` is read in the driver
-        (``_window_dataset_fast``), and such a window N+1 is prefetched
-        on ONE background thread while window N applies; the apply
-        stays in this loop, so the watermark commits strictly in seq
-        order. A larger window goes through Ray Data (``window_dataset``)
-        and is not prefetched: holding a second large window raises
-        peak memory. A failed prefetch falls back to the synchronous
-        read, and retries re-derive the window fresh — a
-        partially-consumed Dataset must never be re-applied.
+        (``_window_dataset_fast``) as a ``pa.Table``, and such a window
+        N+1 is prefetched on ONE background thread while window N
+        applies; the apply stays in this loop, so the watermark commits
+        strictly in seq order. ``apply_window`` preps a table in the
+        driver, so a small window's only Ray tasks are its fold tasks
+        and a small lake's work lands on one worker process. A larger
+        window goes through Ray Data (``window_dataset``), whose fused
+        read and prep keep its raw rows out of plasma, and is not
+        prefetched: holding a second large window raises peak memory. A
+        failed prefetch falls back to the synchronous read, and retries
+        re-derive the window fresh — a partially-consumed Dataset must
+        never be re-applied. A spooled window is written through one
+        Ray Data ``write_parquet`` either way.
 
         ENRICHERS therefore run on the prefetch thread, CONCURRENTLY
         with the apply of the previous window (and with a retry's
@@ -290,7 +299,7 @@ class Replayer:
             while lo < max_seq:
                 hi = min(lo + self.window_size, max_seq)
                 t_w = time.perf_counter()
-                ds_window = None
+                ds_window = None  # a pa.Table (direct read) or a Dataset
                 if nxt is not None:
                     try:
                         ds_window = nxt.result()
@@ -342,7 +351,10 @@ class Replayer:
                         self._sweep_dead_spool_tmp(spool_dir)
                         sub_tmp = f"{sub}.tmp.{_lock_token()}"
                         shutil.rmtree(sub_tmp, ignore_errors=True)
-                        self._stream_window(lo, hi).write_parquet(sub_tmp)
+                        window = self._stream_window(lo, hi)
+                        if isinstance(window, pa.Table):
+                            window = ray.data.from_arrow(window)
+                        window.write_parquet(sub_tmp)
                         shutil.rmtree(sub, ignore_errors=True)
                         os.rename(sub_tmp, sub)
                         spooled.append(

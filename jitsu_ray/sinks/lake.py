@@ -111,7 +111,8 @@ def _bounded_runs(items, sizes: list[float], budget: float) -> list[list]:
 # There is deliberately no CPU-count floor: a small lake reads in one
 # task, because splitting a few MB across workers costs a second worker
 # process more than the bytes (Delta Lake bin-packs small files for the
-# same reason).
+# same reason). ``compact`` packs its folds' input bytes by the same
+# budget, so a small lake also compacts in one task.
 _READ_TASK_BYTES = 32 << 20
 
 
@@ -523,23 +524,27 @@ def _fold_and_write(
 
 
 @ray.remote
-def _compact_fold(
-    files: list[str], target: pa.Schema, part: int, stem: str, watermark: int,
-    fallback: bool, layout: dict,
-) -> list[dict]:
-    """One compaction fold of ``files`` (ledger order) into ``part``."""
-    tbl = pq.ParquetDataset(files, schema=target).read()
-    in_bytes = sum(os.path.getsize(f) for f in files)
-    infos = _fold_and_write(tbl, part, stem, watermark, layout, in_bytes)
-    # only the first chunk replaces the inputs; later chunks anchor to
-    # their predecessor (insert_after) so the chunk run sits at the
-    # fold's replay position
-    infos[0]["replaces"] = [os.path.relpath(f, layout["lake_dir"]) for f in files]
-    for info in infos[1:]:
-        info["replaces"] = []
-    if fallback:
-        infos[0]["fallback"] = True
-    return infos
+def _compact_fold(folds: list[tuple], target: pa.Schema, layout: dict) -> list[list[dict]]:
+    """A run of compaction folds, each ``(files, part, stem, watermark,
+    fallback, in_bytes)``: fold ``files`` (ledger order, ``in_bytes``
+    on disk) into ``part``. The folds run one after another, so the task
+    holds one fold's table at a time. Returns each fold's infos."""
+    out = []
+    for files, part, stem, watermark, fallback, in_bytes in folds:
+        infos = _fold_and_write(
+            pq.ParquetDataset(files, schema=target).read(), part, stem, watermark,
+            layout, in_bytes,
+        )
+        # only the first chunk replaces the inputs; later chunks anchor
+        # to their predecessor (insert_after) so the chunk run sits at
+        # the fold's replay position
+        infos[0]["replaces"] = [os.path.relpath(f, layout["lake_dir"]) for f in files]
+        for info in infos[1:]:
+            info["replaces"] = []
+        if fallback:
+            infos[0]["fallback"] = True
+        out.append(infos)
+    return out
 
 
 @ray.remote
@@ -998,7 +1003,7 @@ class LakeTable:
 
     def apply_window(
         self,
-        ds: "ray.data.Dataset",
+        ds: "pa.Table | ray.data.Dataset",
         lo: int,
         hi: int,
         extra_metrics: dict | None = None,
@@ -1009,6 +1014,15 @@ class LakeTable:
 
         ``ds`` must contain op, commit_seq, the key columns, and any
         payload columns. Returns the committed ledger entry.
+
+        ``ds`` is a ``pa.Table`` (a window read in the driver,
+        ``Replayer._window_dataset_fast``) or a Dataset. A table is
+        prepped (``_prep_window_batch``) here in the driver and put once,
+        so the window runs no Ray Data execution and its only Ray tasks
+        are the fold tasks. A Dataset keeps the fused ``read ->
+        map_batches(_prep_window_batch)`` stage, so a large window's raw
+        rows never pass through plasma. Either way ``stages.stream_sec``
+        times the prep and the collection of the prepped block refs.
 
         ``force=True`` bypasses the already-committed skip — the
         RECOVERY path (Replayer.replay_spooled): a spooled window whose
@@ -1048,13 +1062,15 @@ class LakeTable:
 
         _t0 = _time.perf_counter()
 
-        in_schema = ds.schema()
+        table = isinstance(ds, pa.Table)
+        in_schema = ds.schema if table else ds.schema()
         if in_schema is not None:
             # a zero-BLOCK window (e.g. a replication re-sync of an empty
             # source) has no schema; there is nothing to pin or reconcile,
             # but the window must still COMMIT so the watermark advances
-            self._ensure_key_types(in_schema.base_schema)
-            self._reconcile_window_schema(in_schema.base_schema)
+            in_schema = in_schema if table else in_schema.base_schema
+            self._ensure_key_types(in_schema)
+            self._reconcile_window_schema(in_schema)
         target = self.full_arrow_schema()
         key_cols = self.key_cols
         num_parts = self.num_partitions
@@ -1096,28 +1112,37 @@ class LakeTable:
 
         groups = self._fold_groups(sorted(active_moduli(num_parts, splits)))
         _t_stream = _time.perf_counter()
-        prepped = ds.map_batches(
-            _prep_window_batch,
-            batch_format="pyarrow",
-            fn_kwargs={"target": target, "key_cols": key_cols,
-                       "num_parts": num_parts, "splits": splits},
-        )
-        # blocks in input order: a fold concatenates them in ref order,
-        # and that order is the equal-seq tie order and the row order of
-        # the files written; Ray Data otherwise emits blocks as their
-        # tasks finish, so a retried window could write other bytes
-        prepped.context.execution_options.preserve_order = True
-        # Exchange (module docstring): collect the prepped block refs as
-        # they materialize, then one stateless fold task per group reads
-        # every block and keeps its own rows. A failure anywhere raises
-        # before the ledger row, so the lake is untouched and the caller
-        # may simply retry; a fold task whose worker dies is retried by
-        # Ray, and its deterministic paths make the retry converge.
-        refs = [
-            ref
-            for bundle in prepped.iter_internal_ref_bundles()
-            for ref in bundle.block_refs
-        ]
+        prep_kw = {"target": target, "key_cols": key_cols,
+                   "num_parts": num_parts, "splits": splits}
+        if table:
+            # one block, prepped in the driver: a Ray Data execution for
+            # one small map costs ~45 ms and puts the prep on a second
+            # worker process, each of which holds ~170 MB once it has run
+            # engine code. Prepping the whole table instead of Ray Data's
+            # batches pre-reduces more rows, never others: the fold's
+            # resolve keeps each key's winner in input order either way.
+            refs = [ray.put(_prep_window_batch(ds, **prep_kw))] if ds.num_rows else []
+        else:
+            prepped = ds.map_batches(
+                _prep_window_batch, batch_format="pyarrow", fn_kwargs=prep_kw,
+            )
+            # blocks in input order: a fold concatenates them in ref
+            # order, and that order is the equal-seq tie order and the
+            # row order of the files written; Ray Data otherwise emits
+            # blocks as their tasks finish, so a retried window could
+            # write other bytes
+            prepped.context.execution_options.preserve_order = True
+            refs = [
+                ref
+                for bundle in prepped.iter_internal_ref_bundles()
+                for ref in bundle.block_refs
+            ]
+        # Exchange (module docstring): one stateless fold task per group
+        # reads every prepped block and keeps its own rows. A failure
+        # anywhere raises before the ledger row, so the lake is untouched
+        # and the caller may simply retry; a fold task whose worker dies
+        # is retried by Ray, and its deterministic paths make the retry
+        # converge.
         stream_sec = _time.perf_counter() - _t_stream
         writer = {"lake_dir": self.dir, "key_cols": key_cols,
                   "zone_cols": key_cols + self.stats_cols}
@@ -1641,10 +1666,16 @@ class LakeTable:
         ``replaces``; the rest anchor to it (``insert_after``).
 
         Raw Ray tasks (not Dataset) by design: this is per-partition file
-        maintenance with no cross-partition dataflow — each task reads
-        only its own partition's files. One ledger row commits all
-        folds atomically; a crash mid-compaction leaves only orphaned
-        tmp files.
+        maintenance with no cross-partition dataflow — each fold reads
+        only its own partition's files. The folds, in (partition, tier)
+        order, are packed into consecutive runs of at most
+        ``_READ_TASK_BYTES`` input bytes (``_bounded_runs``), and each
+        run is ONE ``_compact_fold`` task that folds one after another;
+        a fold over the budget is a task of its own. So a small lake
+        compacts in one task on one worker process, as it reads (Delta
+        Lake's OPTIMIZE bin-packs small-file compaction the same way).
+        One ledger row commits all folds atomically; a crash
+        mid-compaction leaves only orphaned tmp files.
         """
         self._check_cluster_by(cluster_by)
         target = self.full_arrow_schema()
@@ -1655,7 +1686,7 @@ class LakeTable:
         todo = {p: units for p, units in todo.items() if len(units) >= min_files}
         if not todo:
             return {"kind": "compact", "parts": {}}
-        parts, tasks = [], []
+        folds = []
         for p, units in sorted(todo.items()):
             # tiers group whole UNITS (a chunk run counts once), so a
             # run already cut at the budget is a singleton and stays
@@ -1669,12 +1700,12 @@ class LakeTable:
             # a lone (possibly huge) tier passes through; a FULL
             # single-unit fold still runs (min_files=1 +
             # tombstone_watermark relies on it)
-            folds = [
+            part_folds = [
                 (t, grp, full_fold)
                 for t, grp in enumerate(groups)
                 if len(grp) >= 2 or full_fold
             ]
-            fallback = not folds and len(units) >= 2
+            fallback = not part_folds and len(units) >= 2
             if fallback:
                 # TIER STALL: every byte-bounded group is a singleton
                 # (adjacent units each near or over the budget), so no
@@ -1693,20 +1724,23 @@ class LakeTable:
                 if not cands:
                     continue
                 i = min(cands, key=pairs.__getitem__)
-                folds = [(i, units[i : i + 2], len(units) == 2)]
-            for t, grp, full in folds:
-                parts.append(p)
-                tasks.append(_compact_fold.remote(
-                    [f for u in grp for f in u], target, p,
+                part_folds = [(i, units[i : i + 2], len(units) == 2)]
+            for t, grp, full in part_folds:
+                files = [f for u in grp for f in u]
+                folds.append((
+                    files, p,
                     f"base-{gen:08d}" if full_fold else f"base-{gen:08d}-{t:03d}",
-                    tombstone_watermark if full else 0, fallback, layout,
+                    tombstone_watermark if full else 0, fallback,
+                    sum(os.path.getsize(f) for f in files),
                 ))
-        if not tasks:
+        if not folds:
             return {"kind": "compact", "parts": {}}
-        # tasks run in (partition, tier) order, so each partition's
+        runs = _bounded_runs(folds, [f[-1] for f in folds], _READ_TASK_BYTES)
+        done = ray.get([_compact_fold.remote(run, target, layout) for run in runs])
+        # folds run in (partition, tier) order, so each partition's
         # infos concatenate in replay order
         by_part: dict[int, list[dict]] = {}
-        for p, infos in zip(parts, ray.get(tasks)):
+        for (_, p, *_), infos in zip(folds, itertools.chain.from_iterable(done)):
             by_part.setdefault(p, []).extend(infos)
         # single-fold partitions keep the legacy single-dict shape
         entry = {

@@ -234,32 +234,66 @@ def _lake_fingerprint(lake):
     return state, files, blobs
 
 
-def test_fold_group_count_equivalent_state(ray_session, tmp_path):
+def test_fold_group_count_equivalent_state(ray_session, tmp_path, monkeypatch):
     """The number of fold groups (one ``_fold_window`` task each) never
     changes a file: 1, 3 and 8 groups give the same read() state, the
     same ledger ``files`` and byte-identical data files and Bloom
-    sidecars, also for windows routed across a committed split."""
+    sidecars, also for windows routed across a committed split. A window
+    passed as a ``pa.Table`` (prepped in the driver) gives the same lake
+    as the same rows passed as a Dataset, runs no Ray Data execution and
+    submits one fold task per group, each reading the one prepped
+    block."""
     import ray.data
 
+    from jitsu_ray.sinks import lake as lake_mod
     from jitsu_ray.testgen import gen_changelog
 
     tbl = gen_changelog(n_events=4000, n_repos=12, seed=21)
 
-    def run(groups):
-        lake = LakeTable.create(str(tmp_path / f"lake{groups}"), ["repo", "path"], 8)
+    def build(groups, window):
+        lake = LakeTable.create(str(tmp_path / f"lake{groups}-{window.__name__}"),
+                                ["repo", "path"], 8)
         lake._cpus = 2 * groups  # min(active partitions, cpus // 2) groups
         assert len(lake._fold_groups(list(range(8)))) == groups
-        lake.apply_window(ray.data.from_arrow(tbl.slice(0, 1500)), 0, 1500)
-        lake.apply_window(ray.data.from_arrow(tbl.slice(1500, 1500)), 1500, 3000)
+        lake.apply_window(window(tbl.slice(0, 1500)), 0, 1500)
+        lake.apply_window(window(tbl.slice(1500, 1500)), 1500, 3000)
         assert lake.split_partition(3, factor=3)["kind"] == "split"
-        lake.apply_window(ray.data.from_arrow(tbl.slice(3000, 1000)), 3000, 4000)
-        return _lake_fingerprint(lake)
+        lake.apply_window(window(tbl.slice(3000, 1000)), 3000, 4000)
+        return lake
 
-    one = run(1)
+    def as_table(t):
+        return t
+
+    one = _lake_fingerprint(build(1, ray.data.from_arrow))
     assert set(one[1][2]) == {"3", "11", "19"}  # the split row's children
     assert set(one[1][3]) & {"11", "19"}  # the last window wrote into them
-    assert run(3) == one
-    assert run(8) == one
+    assert _lake_fingerprint(build(3, ray.data.from_arrow)) == one
+    assert _lake_fingerprint(build(8, ray.data.from_arrow)) == one
+
+    real = lake_mod._fold_window
+    folds = []
+
+    class Counted:
+        @staticmethod
+        def remote(parts, tag, writer, *refs):
+            folds.append((tag, len(refs)))
+            return real.remote(parts, tag, writer, *refs)
+
+    def no_ray_data(*args, **kwargs):
+        raise AssertionError("a table window ran a Ray Data stage")
+
+    for groups in (1, 3, 8):
+        folds.clear()
+        with monkeypatch.context() as m:
+            m.setattr(lake_mod, "_fold_window", Counted)
+            m.setattr(ray.data.Dataset, "map_batches", no_ray_data)
+            lake = build(groups, as_table)
+        # 8 active partitions before the split, 10 after it
+        per_window = [min(groups, 8), min(groups, 8), min(groups, 10)]
+        tags = [tag for tag, _ in folds]
+        assert [tags.count(t) for t in dict.fromkeys(tags)] == per_window
+        assert {n for _, n in folds} == {1}
+        assert _lake_fingerprint(lake) == one
 
 
 def test_split_block_routes_only_owned_rows(ray_session, tmp_path):
@@ -1742,6 +1776,54 @@ def test_read_packing_equivalent(ray_session, tmp_path, monkeypatch):
     # every other read stat is the same in both shapes
     for a, b in ((scan_st1, scan_st), (look_st1, look_st)):
         assert {**a, "tasks": 0} == {**b, "tasks": 0}
+
+
+def test_compact_packs_folds_into_byte_bounded_tasks(ray_session, tmp_path, monkeypatch):
+    """``compact()`` packs its folds, in (partition, tier) order, into
+    tasks of at most ``_READ_TASK_BYTES`` input bytes: a small lake's
+    whole and tiered compactions are ONE ``_compact_fold`` task each.
+    With the budget at 1 byte (one fold per task) the compact rows and
+    the lake's files are identical."""
+    import ray.data
+
+    from jitsu_ray.sinks import lake as lake_mod
+    from jitsu_ray.testgen import gen_changelog
+
+    tbl = gen_changelog(n_events=4000, n_repos=12, seed=23)
+    real = lake_mod._compact_fold
+    runs = []
+
+    class Counted:
+        @staticmethod
+        def remote(folds, *args):
+            runs.append([(part, stem) for _, part, stem, *_ in folds])
+            return real.remote(folds, *args)
+
+    monkeypatch.setattr(lake_mod, "_compact_fold", Counted)
+
+    def run(name):
+        runs.clear()
+        lake = LakeTable.create(str(tmp_path / name), ["repo", "path"], 4)
+        for lo in range(0, 2000, 500):
+            lake.apply_window(ray.data.from_arrow(tbl.slice(lo, 500)), lo, lo + 500)
+        whole = lake.compact(min_files=2, tombstone_watermark=2000)
+        for lo in range(2000, 4000, 250):
+            lake.apply_window(ray.data.from_arrow(tbl.slice(lo, 250)), lo, lo + 250)
+        # budget of about three small deltas: several tiers per partition
+        delta = max(os.path.getsize(f) for fs in lake.live_files().values() for f in fs[1:])
+        tiered = lake.compact(min_files=2, max_input_bytes=3 * delta)
+        return [whole, tiered], list(runs), _lake_fingerprint(lake)
+
+    packed, packed_runs, packed_fp = run("packed")
+    monkeypatch.setattr(lake_mod, "_READ_TASK_BYTES", 1)
+    single, single_runs, single_fp = run("single")
+    assert len(packed_runs) == 2  # one task per compaction
+    assert len(packed_runs[0]) == 4  # the whole fold of each partition
+    assert len(packed_runs[1]) > 4  # several tier folds per partition
+    assert all(len(r) == 1 for r in single_runs)
+    assert [f for r in single_runs for f in r] == [f for r in packed_runs for f in r]
+    assert single == packed
+    assert single_fp == packed_fp
 
 
 def _state(lake):
