@@ -13,9 +13,11 @@ never rewritten: readers pad missing columns with null and cast narrow
 physical types up to the reconciled type (util.pad_and_cast /
 read_parquet(schema=...)).
 
-The reference serialized DDL through an etcd lock; we serialize it
-through a single reconciler — either driver-side (one sequential replay
-driver) or the named Ray actor below when several jobs share a lake.
+The reference serialized DDL through an etcd lock; the lake serializes
+it through the pid lock on its ``_meta.json`` (``LakeTable._commit_schema``):
+under it a writer reloads the newest version, folds its window in again
+and saves the next version, so every writer process sharing a lake
+extends the same version chain.
 """
 
 from __future__ import annotations
@@ -57,7 +59,10 @@ class LakeSchema:
         fd, tmp = tempfile.mkstemp(dir=schema_dir, suffix=".tmp")
         with os.fdopen(fd, "w") as f:
             json.dump(doc, f)
-        os.replace(tmp, os.path.join(schema_dir, f"v{self.version:06d}.json"))
+        try:  # put-if-absent, as a ledger row: a version is never overwritten
+            os.link(tmp, os.path.join(schema_dir, f"v{self.version:06d}.json"))
+        finally:
+            os.unlink(tmp)
 
     # -- reconciliation -----------------------------------------------------
 
@@ -92,35 +97,3 @@ def observed_payload(schema: pa.Schema, system_cols: set[str]) -> dict[str, Data
         f.name: from_arrow(f.type) for f in schema if f.name not in system_cols
     }
 
-
-# ---------------------------------------------------------------------------
-# Named-actor wrapper: the concurrent-writers path (T4 analog). One actor
-# per lake serializes reconcile+persist exactly like the reference's
-# etcd-locked EnsureTable. Create with:
-#   SchemaReconcilerActor.options(name=f"schema-reconciler:{lake_dir}",
-#                                 get_if_exists=True).remote(schema_dir)
-
-import ray
-
-
-@ray.remote(num_cpus=0)
-class SchemaReconcilerActor:
-    def __init__(self, schema_dir: str):
-        os.makedirs(schema_dir, exist_ok=True)
-        self.schema_dir = schema_dir
-        self.schema = LakeSchema.load(schema_dir)
-
-    def reconcile(self, observed: dict[str, int]) -> dict:
-        obs = {n: DataType(v) for n, v in observed.items()}
-        if self.schema.reconcile(obs):
-            self.schema.save(self.schema_dir)
-        return {
-            "version": self.schema.version,
-            "fields": {n: int(t) for n, t in self.schema.fields.items()},
-        }
-
-    def current(self) -> dict:
-        return {
-            "version": self.schema.version,
-            "fields": {n: int(t) for n, t in self.schema.fields.items()},
-        }

@@ -780,13 +780,17 @@ def _zone_may_contain(stats: dict, keys: pa.Table) -> bool:
     return bool(mask.any())
 
 
+def _key_types(meta: dict) -> dict[str, DataType]:
+    """The key types pinned in a ``_meta.json`` document."""
+    return {k: DataType[v] for k, v in meta.get("key_types", {}).items()}
+
+
 class LakeTable:
     def __init__(self, lake_dir: str):
         from ..util import hash_self_test
 
         self.dir = lake_dir
-        with open(os.path.join(lake_dir, "_meta.json")) as f:
-            meta = json.load(f)
+        meta = self._read_meta()
         # a lake written under a different partition hash (or a polars
         # whose xxhash64 drifted) must not be opened: rows would be
         # routed to the wrong partition and LWW resolution would break
@@ -803,9 +807,7 @@ class LakeTable:
         # logical-lattice names; absent (legacy lakes) => STRING. Frozen
         # because the partition hash stringifies key values — retyping a
         # key (int 5 -> float 5.0) would re-route rows mid-table.
-        self.key_types: dict[str, DataType] = {
-            k: DataType[v] for k, v in meta.get("key_types", {}).items()
-        }
+        self.key_types: dict[str, DataType] = _key_types(meta)
         self.num_partitions: int = meta["num_partitions"]
         self.stats_cols: list[str] = list(meta.get("stats_cols", []))
         # creation UUID (None on legacy lakes created before it existed);
@@ -890,7 +892,23 @@ class LakeTable:
     def system_cols(self) -> set[str]:
         return {OP_COL, SEQ_COL, PART_COL, *self.key_cols}
 
+    def _read_meta(self) -> dict:
+        with open(os.path.join(self.dir, "_meta.json")) as f:
+            return json.load(f)
+
     def full_arrow_schema(self) -> pa.Schema:
+        """The lake's physical schema at its newest committed version:
+        the one point where a handle picks up what other writers
+        committed. One ``stat`` of the next version's file (the ledger
+        cursor's probe) reloads a newer ``_schema/`` version, and
+        ``_meta.json`` is re-read while a key column is still unpinned.
+        A window saves its schema before its ledger row, so a caller
+        that resolves its ledger state first gets a schema covering
+        every file that state names."""
+        if os.path.exists(os.path.join(self.schema_dir, f"v{self.schema.version + 1:06d}.json")):
+            self.schema = LakeSchema.load(self.schema_dir)
+        if any(k not in self.key_types for k in self.key_cols):
+            self.key_types = _key_types(self._read_meta())
         fields = [
             pa.field(PART_COL, pa.int32()),
             pa.field(OP_COL, pa.string()),
@@ -903,101 +921,59 @@ class LakeTable:
         fields += self.schema.to_arrow_fields()
         return pa.schema(fields)
 
-    def _ensure_key_types(self, ds_schema: pa.Schema) -> None:
-        """Record any still-unrecorded key column's logical type from the
-        first window's observed schema, then freeze it in _meta.json.
-        UNKNOWN (all-null) observations stay unrecorded so a later window
-        with real values can still pin the type.
+    def _commit_schema(self, in_schema: pa.Schema) -> None:
+        """The one schema commit path: pin the window's key types and
+        fold its payload schema into the lake's. A window that pins no
+        key and widens nothing, as this handle sees the lake, returns
+        without I/O. Otherwise the step runs under the ``_meta.json``
+        pid lock (``util.acquire_pid_lock``; a crashed writer's stale
+        lock is broken once its pid is verifiably dead), re-reads the
+        pinned key types and the newest ``_schema/`` version, folds the
+        window in again and writes the next version as a new file —
+        the reference's DDL under one lock with its second diff-check
+        (server/storages/table_helper.go:74-167). So two writers never
+        pin different key dtypes, nor save one version over another's.
+        Saving before the window's ledger row is safe: the widening is
+        additive and idempotent, and re-running a crashed window
+        reproduces it.
 
-        A LEGACY lake (created before key_types existed) that already
-        holds committed windows stored its keys stringified — pin STRING
-        for those, never the incoming window's type, or
-        full_arrow_schema() would conflict with the existing files."""
-        missing = [k for k in self.key_cols if k not in self.key_types]
-        if not missing:
-            return
-        if self.ledger.last_committed_hi() > 0:
-            for k in missing:
-                self.key_types[k] = DataType.STRING
-            self._save_meta()
-            return
-        names = set(ds_schema.names)
-        changed = False
-        for k in missing:
-            if k not in names:
-                continue
-            lt = from_arrow(ds_schema.field(k).type)
-            if lt == DataType.UNKNOWN:
-                continue
-            self.key_types[k] = lt
-            changed = True
-        if changed:
-            self._save_meta()
-
-    def _save_meta(self) -> None:
-        """Persist key_types into _meta.json under a self-healing pid
-        lock (util.acquire_pid_lock — a crashed writer's stale lock is
-        broken once its pid is verifiably dead): the read-modify-write
-        would otherwise race between two concurrent FIRST-window writer
-        processes (the documented T4 scenario) and pin different key
-        dtypes into one lake's meta and delta files. Inside the lock,
-        any key a concurrent writer already pinned wins
-        (first-writer-wins, mirroring the frozen key-type contract) and
-        this writer adopts it so its own deltas are cast to the same
-        physical type."""
+        A key column pins the first known (not all-null) type a window
+        carries for it. A LEGACY lake (created before key_types existed)
+        that already holds committed windows stored its keys
+        stringified, so its keys pin STRING, never the incoming window's
+        type, or full_arrow_schema() would conflict with its files."""
         from ..util import acquire_pid_lock, release_pid_lock
 
+        observed = observed_payload(in_schema, self.system_cols)
+
+        def pins(pinned: dict) -> dict:
+            missing = [k for k in self.key_cols if k not in pinned]
+            if missing and self.ledger.last_committed_hi() > 0:
+                return {k: DataType.STRING for k in missing}
+            seen = {k: from_arrow(in_schema.field(k).type) for k in missing if k in in_schema.names}
+            return {k: t for k, t in seen.items() if t != DataType.UNKNOWN}
+
+        if not pins(self.key_types) and not LakeSchema(self.schema.fields).reconcile(observed):
+            return
         meta_path = os.path.join(self.dir, "_meta.json")
         lock = meta_path + ".lock"
         acquire_pid_lock(lock)
         try:
-            with open(meta_path) as f:
-                meta = json.load(f)
-            for k, v in meta.get("key_types", {}).items():
-                self.key_types[k] = DataType[v]  # concurrent pin wins
-            meta["key_types"] = {k: t.name for k, t in self.key_types.items()}
-            fd, tmp = tempfile.mkstemp(dir=self.dir, suffix=".tmp")
-            with os.fdopen(fd, "w") as f:
-                json.dump(meta, f)
-            os.replace(tmp, meta_path)
+            meta = self._read_meta()
+            self.key_types = _key_types(meta)
+            new = pins(self.key_types)
+            if new:
+                self.key_types.update(new)
+                meta["key_types"] = {k: t.name for k, t in self.key_types.items()}
+                fd, tmp = tempfile.mkstemp(dir=self.dir, suffix=".tmp")
+                with os.fdopen(fd, "w") as f:
+                    json.dump(meta, f)
+                os.replace(tmp, meta_path)
+            self.schema = LakeSchema.load(self.schema_dir)
+            if self.schema.reconcile(observed):
+                self.schema.save(self.schema_dir)
         finally:
             release_pid_lock(lock)
-
-    def use_shared_schema_actor(self, name: str | None = None) -> None:
-        """Route schema reconciliation through a named SchemaReconcilerActor
-        (get-or-create) — the T4 concurrent-writers path: several
-        LakeTable writer processes sharing one lake serialize their
-        schema widenings through the actor instead of racing on the
-        _schema dir (reference: per-table etcd lock around DDL,
-        server/storages/table_helper.go)."""
-        from ..schema.reconciler import SchemaReconcilerActor
-
-        actor_name = name or f"jitsu_schema::{os.path.abspath(self.dir)}"
-        self._schema_actor = SchemaReconcilerActor.options(
-            name=actor_name, get_if_exists=True, lifetime="detached"
-        ).remote(self.schema_dir)
-
-    def _reconcile_window_schema(self, ds_schema: pa.Schema) -> None:
-        observed = observed_payload(ds_schema, self.system_cols)
-        if getattr(self, "_schema_actor", None) is not None:
-            state = ray.get(
-                self._schema_actor.reconcile.remote({n: int(t) for n, t in observed.items()})
-            )
-            # a concurrent writer may have widened further between the
-            # actor reply and this load — loading a NEWER (strictly
-            # additive) version is safe; older would mean a lost write
-            self.schema = LakeSchema.load(self.schema_dir)
-            if self.schema.version < state["version"]:
-                raise RuntimeError(
-                    f"schema dir version {self.schema.version} behind actor "
-                    f"version {state['version']} — non-atomic schema save?"
-                )
-            return
-        if self.schema.reconcile(observed):
-            # Additive + idempotent: persisting before the ledger commit is
-            # safe (a crashed window leaves a wider schema, which re-running
-            # the window reproduces).
-            self.schema.save(self.schema_dir)
 
     # -- write path ---------------------------------------------------------
 
@@ -1068,9 +1044,7 @@ class LakeTable:
             # a zero-BLOCK window (e.g. a replication re-sync of an empty
             # source) has no schema; there is nothing to pin or reconcile,
             # but the window must still COMMIT so the watermark advances
-            in_schema = in_schema if table else in_schema.base_schema
-            self._ensure_key_types(in_schema)
-            self._reconcile_window_schema(in_schema)
+            self._commit_schema(in_schema if table else in_schema.base_schema)
         target = self.full_arrow_schema()
         key_cols = self.key_cols
         num_parts = self.num_partitions
@@ -1430,13 +1404,13 @@ class LakeTable:
         tests."""
         if isinstance(keys, list):
             keys = pa.Table.from_pylist(keys)
-        target = self.full_arrow_schema()
+        st = self.ledger.state(as_of)  # ONE state feeds all three views
+        target = self.full_arrow_schema()  # after the state: covers its files
         key_cols = self.key_cols
         units, live = [], {}
         zone_skipped = bloom_skipped = 0
         if keys.num_rows:
             keys = pa.table({c: pc.cast(keys[c], target.field(c).type) for c in key_cols})
-            st = self.ledger.state(as_of)  # ONE state feeds all three views
             live = self._live_paths(st, None if as_of is None else f"time-travel as_of={as_of}")
             parts = hash_route_column(keys, key_cols, self.num_partitions, st.splits)
             by_part: dict[int, list[int]] = {}
@@ -1678,9 +1652,9 @@ class LakeTable:
         mid-compaction leaves only orphaned tmp files.
         """
         self._check_cluster_by(cluster_by)
-        target = self.full_arrow_schema()
-        layout = self._layout(cluster_by, max_input_bytes)
         st = self.ledger.state()
+        target = self.full_arrow_schema()  # after the state: covers its files
+        layout = self._layout(cluster_by, max_input_bytes)
         gen = st.seq + 1
         todo = {p: _chunk_runs(fs) for p, fs in self._live_paths(st).items()}
         todo = {p: units for p, units in todo.items() if len(units) >= min_files}
@@ -2033,6 +2007,7 @@ class LakeTable:
         """T7/A3 analog: fold the ledger's per-window lineage into run
         totals (success counters; per-partition detail preserved)."""
         windows = self.ledger.window_metrics()
+        self.full_arrow_schema()  # brings self.schema to the newest version
         per_part: dict[int, dict] = {}
         for w in windows:
             for pp in w.get("metrics", {}).get("per_partition", []):

@@ -74,8 +74,8 @@ class EventsCacheActor:
 
 
 def get_events_cache(name: str = DEFAULT_NAME, capacity_per_destination: int = 100):
-    """Get-or-create the named cache (detached, like the metrics/schema
-    actors, so a monitoring session can attach)."""
+    """Get-or-create the named cache (detached, like the metrics actor,
+    so a monitoring session can attach)."""
     return EventsCacheActor.options(
         name=name, get_if_exists=True, lifetime="detached"
     ).remote(capacity_per_destination)

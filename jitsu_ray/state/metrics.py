@@ -3,8 +3,8 @@
 The reference exports success/error event counters and queue/pool-size
 gauges to its metrics endpoint (server/metrics/*, counters.go) — the
 ops surface for "is the pipeline keeping up". Ray analog: one named
-zero-cpu registry actor (get-or-create, like the schema actor); stages
-and sinks push increments/sets, dashboards poll ``snapshot()``. Pushes
+zero-cpu registry actor (get-or-create); stages and sinks push
+increments/sets, dashboards poll ``snapshot()``. Pushes
 are fire-and-forget (``.remote`` without get) so the hot path never
 blocks on the registry.
 """

@@ -3,7 +3,10 @@ additive columns, INT64⊔FLOAT64 -> FLOAT64, BOOL⊔TIMESTAMP -> STRING,
 old rows null-padded — semantics of server/adapters/table.go:52-87 +
 server/typing/converter.go:12-32."""
 
+import os
+
 import pyarrow as pa
+import pytest
 
 from jitsu_ray.schema.reconciler import LakeSchema, observed_payload
 from jitsu_ray.sinks.lake import LakeTable
@@ -115,17 +118,17 @@ def test_type_conflict_widens_to_string(ray_session, tmp_path):
 
 def test_shared_schema_actor_serializes_widening(ray_session, tmp_path):
     """T4 concurrent-writers path: two LakeTable handles on one lake
-    route widenings through the named SchemaReconcilerActor and both
-    observe the merged schema."""
+    apply their widening windows from two threads at once; the locked
+    schema step serializes them and both observe the merged schema."""
+    from concurrent.futures import ThreadPoolExecutor
+
     import pyarrow as pa
     import ray.data
 
     from jitsu_ray.sinks.lake import LakeTable
 
     a = LakeTable.create(str(tmp_path / "lake"), ["repo", "path"], 4)
-    a.use_shared_schema_actor(name="t4_test_actor")
     b = LakeTable.open(str(tmp_path / "lake"))
-    b.use_shared_schema_actor(name="t4_test_actor")
 
     t1 = pa.table(
         {
@@ -145,12 +148,106 @@ def test_shared_schema_actor_serializes_widening(ray_session, tmp_path):
             "rating": pa.array([4.5], pa.float64()),
         }
     )
-    a.apply_window(ray.data.from_arrow(t1), 0, 1)
-    b.apply_window(ray.data.from_arrow(t2), 1, 2)
+    with ThreadPoolExecutor(2) as ex:
+        f1 = ex.submit(a.apply_window, ray.data.from_arrow(t1), 0, 1, force=True)
+        f2 = ex.submit(b.apply_window, ray.data.from_arrow(t2), 1, 2, force=True)
+        f1.result(), f2.result()
     rows = b.read().take_all()
     cols = set(rows[0].keys())
     assert {"stars", "rating"} <= cols  # both writers' columns merged
     assert len(rows) == 2
+
+
+def _keyed(rows: list[tuple]) -> pa.Table:
+    """A window over an int64 ``id`` key: rows of (seq, id, v), or of
+    (seq, id, v, stars) for a window that carries ``stars``."""
+    cols = list(zip(*rows))
+    tbl = {
+        "commit_seq": pa.array(cols[0], pa.int64()),
+        "op": pa.array(["insert"] * len(rows), pa.string()),
+        "id": pa.array(cols[1], pa.int64()),
+        "v": pa.array(cols[2], pa.string()),
+    }
+    if len(cols) > 3:
+        tbl["stars"] = pa.array(cols[3], pa.int64())
+    return pa.table(tbl)
+
+
+def test_two_handles_widen_in_turn(ray_session, tmp_path):
+    """Handle ``a`` adds ``stars``, then handle ``b`` (opened before it)
+    adds ``rating``: ``b`` folds its column into the version ``a``
+    committed instead of writing its own ``v000001.json`` over it, and
+    every handle reads both columns."""
+    path = str(tmp_path / "lake")
+    a = LakeTable.create(path, ["repo", "path"], 4)
+    b = LakeTable.open(path)
+    a.apply_window(
+        pa.table({**base_cols([(1, "insert", "r", "a")]), "stars": pa.array([5], pa.int64())}),
+        0, 1,
+    )
+    b.apply_window(
+        pa.table({**base_cols([(2, "insert", "r", "b")]), "rating": pa.array([4.5], pa.float64())}),
+        1, 2,
+    )
+    want = {("r", "a"): (5, None), ("r", "b"): (None, 4.5)}
+    for lake in (LakeTable.open(path), a, b):
+        got = {(r["repo"], r["path"]): (r["stars"], r["rating"]) for r in lake.read().take_all()}
+        assert got == want
+    assert sorted(os.listdir(os.path.join(path, "_schema"))) == ["v000001.json", "v000002.json"]
+    assert a.ingest_report()["schema_version"] == 2
+    assert b.ingest_report()["schema_version"] == 2
+
+
+@pytest.mark.parametrize("opened", ["before_first_window", "after_first_window"])
+def test_stale_handle_maintain_keeps_widened_columns(ray_session, tmp_path, opened):
+    """A handle opened before another handle's windows compacts the
+    lake: its fold target is the newest schema and key types, so the
+    base it writes keeps ``v``, ``stars`` and the int64 key, and every
+    later read sees their values."""
+    path = str(tmp_path / "lake")
+    a = LakeTable.create(path, ["id"], 1)
+    b = LakeTable.open(path) if opened == "before_first_window" else None
+    a.apply_window(_keyed([(1, 1, "x"), (2, 2, "y")]), 0, 2)
+    b = b or LakeTable.open(path)
+    a.apply_window(_keyed([(3, 3, "z", 5)]), 2, 3)
+    a.apply_window(_keyed([(4, 1, "x2", 7)]), 3, 4)
+    m = b.maintain(min_files=2, keep_history=0)
+    assert m["compact"]["parts"] and m["vacuum"]["removed_now"]
+    a.apply_window(_keyed([(5, 4, "w", 9)]), 4, 5)
+    want = {1: ("x2", 7), 2: ("y", None), 3: ("z", 5), 4: ("w", 9)}
+    for lake in (LakeTable.open(path), a, b):
+        got = {r["id"]: (r["v"], r["stars"]) for r in lake.read().take_all()}
+        assert got == want
+        assert lake.full_arrow_schema().field("id").type == pa.int64()
+    hit = b.lookup([{"id": 3}])
+    assert hit.to_pylist() == [{"id": 3, "commit_seq": 3, "v": "z", "stars": 5}]
+
+
+def test_schema_saved_only_by_the_locked_step():
+    """Inside ``jitsu_ray/`` a schema version is written (``LakeSchema
+    .save``) only by the lake's locked schema step, ``_commit_schema``."""
+    import ast
+    import pathlib
+
+    import jitsu_ray
+
+    savers = set()
+    for src in pathlib.Path(jitsu_ray.__file__).parent.rglob("*.py"):
+        tree = ast.parse(src.read_text())
+        owner = {}
+        for fn in ast.walk(tree):
+            if isinstance(fn, (ast.FunctionDef, ast.AsyncFunctionDef)):
+                for node in ast.walk(fn):
+                    owner[id(node)] = fn.name  # innermost function
+        savers |= {
+            (src.name, owner.get(id(node)))
+            for node in ast.walk(tree)
+            if isinstance(node, ast.Call)
+            and isinstance(node.func, ast.Attribute)
+            and node.func.attr == "save"
+            and "schema" in ast.unparse(node.func.value).lower()
+        }
+    assert savers == {("lake.py", "_commit_schema")}, savers
 
 
 def test_replication_propagates_additive_schema(ray_session, tmp_path):
