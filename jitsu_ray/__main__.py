@@ -131,7 +131,7 @@ def main(argv=None):
     c.add_argument("--lake", required=True)
     c.add_argument("--watermark", type=int, default=0)
 
-    g = sub.add_parser("report", help="ledger lineage totals")
+    g = sub.add_parser("report", help="ledger lineage totals, live files and bytes")
     g.add_argument("--lake", required=True)
 
     d = sub.add_parser("read", help="materialize the resolved table to parquet")

@@ -14,14 +14,16 @@ Physical design (LSM-ish, append-only):
       _meta.json                    # key cols, partition count, hash algo
       _schema/v000001.json          # logical payload schema versions
       _ledger/00000001.json ...     # commit log (state/ledger.py)
-      part=00007/delta-<lo>-<hi>.parquet   # one window's winners for part 7
+      part=00007/delta-<lo>-<hi>.parquet   # a window's fold group (lowest part 7)
       part=00007/base-<n>.parquet          # compacted state
       part=00007/base-<lo>-<hi>.parquet    # ... a compacting window's
       part=00007/<file>.parquet.bloom      # each data file's key Bloom filter
 
-Applying a window only *appends* per-partition delta files containing
-the window's per-key winners — O(window), never O(table) — so ingest
-throughput is independent of accumulated table size. Resolution
+Applying a window only *appends* delta files containing the window's
+per-key winners, one per fold group of partitions — O(window), never
+O(table) — so ingest throughput is independent of accumulated table
+size. The ledger lists a delta under every partition it holds rows of,
+and a partition reads only its own rows of it (``__part``). Resolution
 (per-key argmax over base+deltas, drop tombstones) happens at read time
 and is folded down by ``compact()`` (or by a compacting window,
 ``apply_window(compact=True)``); both are per-partition and
@@ -104,7 +106,8 @@ def _bounded_runs(items, sizes: list[float], budget: float) -> list[list]:
 
 # On-disk bytes one read task resolves. ``read``, ``scan_range``,
 # ``diff_as_of`` and ``lookup`` pack whole partitions, in partition
-# order, into runs of at most this many bytes (``_read_runs``); a larger
+# order, into runs of at most this many bytes (``LakeTable._plan``,
+# counting each partition's byte shares, ``LakeTable._sizes``); a larger
 # partition is a run of its own and reads as one task, as before. At the
 # ~3.4x zstd expansion measured on ``content``, 32 MiB keeps a task's
 # decompressed output under Ray Data's 128 MiB ``target_max_block_size``.
@@ -114,14 +117,6 @@ def _bounded_runs(items, sizes: list[float], budget: float) -> list[list]:
 # same reason). ``compact`` packs its folds' input bytes by the same
 # budget, so a small lake also compacts in one task.
 _READ_TASK_BYTES = 32 << 20
-
-
-def _read_runs(units: list, files: list[list[str]]) -> list[list]:
-    """Pack read ``units`` (one per partition, in partition order) into
-    runs of at most ``_READ_TASK_BYTES`` on-disk bytes, ``files[i]``
-    being the files unit ``i`` reads."""
-    sizes = [sum(os.path.getsize(f) for f in fs) for fs in files]
-    return _bounded_runs(units, sizes, _READ_TASK_BYTES)
 
 
 _CHUNK_RE = re.compile(r"-c\d{3,}\.parquet$")  # a clustered fold's chunk file
@@ -314,8 +309,17 @@ def _drop_old_tombstones(tbl: pa.Table, watermark: int) -> pa.Table:
 # chunk, so a lake mixing older files (snappy, zstd-1, dictionaries)
 # with these reads as it is, and its next compaction rewrites them.
 #
+# A window writes one file per fold group, sorted by ``__part``, with a
+# row group cut at a partition boundary once it holds ``_ROW_GROUP_BYTES``
+# (zstd-3's window), and any table every ``_ROW_GROUP_ROWS`` rows
+# (``pq.write_table``'s default, which a one-partition base keeps).
+# Seed 42, 17 1k-event windows over 16 partitions: 3.44 MB in 272 files
+# -> 1.45 MB in 17 (4.57 -> 3.38 MB with ``content`` spans of this
+# repository's own text); one 100k-event window: 2.16 -> 1.90 MB.
+#
 # Min/max statistics (footer and page headers) only for ``commit_seq``,
-# the one footer statistic code reads (``parquet_seq_bounds``); pruning
+# the one footer statistic code reads (``parquet_seq_bounds``), and
+# ``__part``, which partition reads prune row groups by; other pruning
 # uses the ledger's zone maps and the Bloom sidecars. Payload bounds
 # were ~25% of a small delta's bytes, the zone columns' ~200 B more. No
 # ``ARROW:schema`` footer key (~620 B a file): every lake type is native
@@ -326,9 +330,11 @@ _LAKE_PARQUET = {
     "compression_level": 3,
     "use_dictionary": False,
     "data_page_size": 8 << 20,
-    "write_statistics": [SEQ_COL],
+    "write_statistics": [SEQ_COL, PART_COL],
     "store_schema": False,
 }
+_ROW_GROUP_BYTES = 2 << 20
+_ROW_GROUP_ROWS = 1 << 20
 
 # maintain() splits a partition into ceil(bytes * headroom / budget)
 # children: small zstd children compress worse than their parent and
@@ -338,6 +344,16 @@ _LAKE_PARQUET = {
 # lake's largest child went from 79% to 71% of the budget); the penalty
 # is unbounded, so it is a margin, not a guarantee.
 _SPLIT_HEADROOM = 1.5
+
+
+def _part_slices(tbl: pa.Table) -> dict[int, tuple[int, int]]:
+    """{partition: (offset, length)} of its rows in ``tbl``, which holds
+    each partition's rows contiguously (sorted by ``__part``)."""
+    import numpy as np
+
+    pv = tbl[PART_COL].to_numpy(zero_copy_only=False)
+    cuts = [0, *(np.flatnonzero(pv[1:] != pv[:-1]) + 1).tolist(), len(pv)]
+    return {int(pv[a]): (a, b - a) for a, b in zip(cuts, cuts[1:]) if b > a}
 
 
 def _write_lake_files(
@@ -354,13 +370,16 @@ def _write_lake_files(
     zstd-3, plain-encoded, one page per column chunk up to 8 MB
     (``_LAKE_PARQUET``) — under ``part=<part>/`` and return one ledger
     info per file — the single writer behind window deltas, compaction
-    folds and split children. Each file is written tmp+replace at a
+    folds and split children. A window's table holds its fold group's
+    partitions sorted by ``__part``, ``part`` the lowest; row groups as
+    ``_LAKE_PARQUET`` says. Each file is written tmp+replace at a
     deterministic path (a retry converges), gets its key Bloom sidecar,
     and its info records ``file``, ``rows``, on-disk ``bytes`` and the
-    zone-map ``key_stats`` over ``zone_cols``. A file's fixed cost is
-    kept small, since a streaming lake holds many small deltas: Parquet
-    statistics on ``commit_seq`` only, no ``ARROW:schema`` footer key,
-    and a raw Bloom sidecar (``_write_key_bloom``).
+    zone-map ``key_stats`` over ``zone_cols``, both over all its rows.
+    A file's fixed cost is kept small, since a streaming lake holds
+    many small deltas: Parquet statistics on ``commit_seq`` and
+    ``__part`` only, no ``ARROW:schema`` footer key, and a raw Bloom
+    sidecar (``_write_key_bloom``).
 
     ``cluster_by``: CLUSTERED rewrite — sort by these columns and cut
     into range-disjoint chunk files ``<stem>-cNNN`` of about
@@ -390,7 +409,15 @@ def _write_lake_files(
         fd, tmp = tempfile.mkstemp(dir=part_dir, suffix=".tmp")
         os.close(fd)
         chunk = chunk.combine_chunks()
-        pq.write_table(chunk, tmp, **_LAKE_PARQUET)
+        ends, held = [], 0  # a row group ends at a partition boundary
+        for a, n in _part_slices(chunk).values():
+            held += chunk.slice(a, n).nbytes
+            if held >= _ROW_GROUP_BYTES or a + n == chunk.num_rows:
+                ends.append(a + n)
+                held = 0
+        with pq.ParquetWriter(tmp, chunk.schema, **_LAKE_PARQUET) as out:
+            for a, b in zip([0, *ends], ends or [0]):
+                out.write(chunk.slice(a, b - a), row_group_size=_ROW_GROUP_ROWS)
         os.replace(tmp, final)
         _write_key_bloom(chunk, key_cols, final)
         info = {
@@ -429,22 +456,23 @@ def _fold_window(
 ) -> list[dict]:
     """apply_window's fold for one group of partitions: take the
     group's rows from every prepped block of the window, LWW-resolve
-    them once (tombstones kept), and write one ``delta-<window_tag>``
-    file per touched partition through ``_write_lake_files``, whose
-    other arguments ``writer`` holds. Returns one info row per file,
-    each carrying the task's own fold+write time as ``fold_sec``.
+    them once (tombstones kept), stably sort them by ``__part`` and
+    write ONE ``delta-<window_tag>`` file through ``_write_lake_files``,
+    whose other arguments ``writer`` holds. Returns one info per file,
+    whose ``parts`` give each partition's ``rows``, ``tombstones`` and
+    byte share ``bytes`` (by Arrow bytes), with the task's fold+write
+    time ``fold_sec`` and its parquet+Bloom+zone time ``write_sec``.
 
     A COMPACTING window (``apply_window(compact=True)``) also carries
     ``live`` ({partition: its live files, ledger order}), ``target`` and
     ``watermark`` in ``writer``. A touched partition with live files is
-    then folded whole, one partition at a time: its files are read in
-    ledger order, the window's rows go after them, and the table is
-    resolved, loses its tombstones at or below ``watermark`` and is
-    written as ``base-<window_tag>``. That is the table a full
+    then folded whole, one partition at a time: its rows of its files
+    are read in ledger order, the window's rows go after them, and the
+    table is resolved, loses its tombstones at or below ``watermark``
+    and is written as ``base-<window_tag>``. That is the table a full
     compaction of the files plus the window's delta resolves, so the
     base has the same bytes. Its info gains ``replaces`` (the folded
-    files); ``rows`` and ``tombstones`` still count the window's rows,
-    ``bytes`` the base.
+    files); its ``parts`` counts the window's rows.
 
     Stateless, so a retry (a worker dying mid-fold) rewrites the same
     deterministic paths with the same bytes, and nothing outlives the
@@ -460,6 +488,7 @@ def _fold_window(
     live = writer.pop("live", {})
     target = writer.pop("target", None)
     watermark = writer.pop("watermark", 0)
+    key_cols = writer["key_cols"]
     mine = []
     for block in blocks:
         # 0-row map outputs surface as schema-less blocks; nothing to own
@@ -471,31 +500,45 @@ def _fold_window(
             mine.append(block if idx.size == block.num_rows else block.take(idx))
     if not mine:
         return []
-    tbl = resolve_keep_tombstones(pa.concat_tables(mine), writer["key_cols"])
-    pvals = tbl[PART_COL].to_numpy(zero_copy_only=False)
+    tbl = resolve_keep_tombstones(pa.concat_tables(mine), key_cols)
+    tbl = tbl.take(pc.sort_indices(tbl[PART_COL]))  # stable
+    slices = _part_slices(tbl)
+    write_sec = 0.0
+
+    def write(t: pa.Table, p: int, stem: str, held: dict) -> dict:
+        nonlocal write_sec
+        tw = time.perf_counter()
+        [info] = _write_lake_files(t, part=p, stem=stem, **writer)
+        write_sec += time.perf_counter() - tw
+        # integer byte shares by Arrow bytes, summing to the file's size
+        acc = list(itertools.accumulate(rows.nbytes for rows in held.values()))
+        cut = [0, *(round(info["bytes"] * a / acc[-1]) for a in acc[:-1]), info["bytes"]]
+        info["parts"] = {
+            q: {"rows": rows.num_rows,
+                "tombstones": pc.sum(pc.equal(rows[OP_COL], TOMBSTONE)).as_py() or 0,
+                "bytes": b - a}
+            for (q, rows), a, b in zip(held.items(), cut, cut[1:])
+        }
+        return info
+
     out = []
-    for p in parts:
-        idx = np.nonzero(pvals == p)[0]
-        if idx.size == 0:
+    for p, files in live.items():
+        if p not in slices:
             continue
-        merged = tbl.take(idx)
-        n_tomb = pc.sum(pc.equal(merged[OP_COL], TOMBSTONE)).as_py() or 0
-        files = live.get(p)
-        if files:
-            old = pq.ParquetDataset(
-                [os.path.join(writer["lake_dir"], f) for f in files], schema=target
-            ).read()
-            # unclustered, so one file and no chunk size to estimate
-            [info] = _fold_and_write(
-                pa.concat_tables([old, merged.cast(target)]), p, f"base-{window_tag}",
-                watermark, {**writer, "chunk_bytes": None}, 0,
-            )
-            info.update(rows=merged.num_rows, replaces=files)
-        else:
-            [info] = _write_lake_files(merged, part=p, stem=f"delta-{window_tag}", **writer)
-        out.append({"part": p, "tombstones": n_tomb, **info})
+        merged = tbl.slice(*slices.pop(p))
+        old = pq.ParquetDataset(
+            [os.path.join(writer["lake_dir"], f) for f in files], schema=target,
+            filters=pc.field(PART_COL) == p,
+        ).read()
+        base = resolve_keep_tombstones(pa.concat_tables([old, merged.cast(target)]), key_cols)
+        info = write(_drop_old_tombstones(base, watermark), p, f"base-{window_tag}", {p: merged})
+        out.append({**info, "replaces": files})
+    if slices:
+        held = {p: tbl.slice(*s) for p, s in slices.items()}
+        delta = pa.concat_tables(held.values()) if live else tbl
+        out.append(write(delta, min(held), f"delta-{window_tag}", held))
     fold_sec = round(time.perf_counter() - t0, 3)
-    return [{**r, "fold_sec": fold_sec} for r in out]
+    return [{**r, "fold_sec": fold_sec, "write_sec": round(write_sec, 3)} for r in out]
 
 
 def _fold_and_write(
@@ -526,15 +569,14 @@ def _fold_and_write(
 @ray.remote
 def _compact_fold(folds: list[tuple], target: pa.Schema, layout: dict) -> list[list[dict]]:
     """A run of compaction folds, each ``(files, part, stem, watermark,
-    fallback, in_bytes)``: fold ``files`` (ledger order, ``in_bytes``
-    on disk) into ``part``. The folds run one after another, so the task
-    holds one fold's table at a time. Returns each fold's infos."""
+    fallback, in_bytes)``: fold ``part``'s rows of ``files`` (ledger
+    order, ``in_bytes`` its on-disk share) into ``part``. The folds run
+    one after another, so the task holds one fold's table at a time.
+    Returns each fold's infos."""
     out = []
     for files, part, stem, watermark, fallback, in_bytes in folds:
-        infos = _fold_and_write(
-            pq.ParquetDataset(files, schema=target).read(), part, stem, watermark,
-            layout, in_bytes,
-        )
+        tbl = pq.ParquetDataset(files, schema=target, filters=pc.field(PART_COL) == part).read()
+        infos = _fold_and_write(tbl, part, stem, watermark, layout, in_bytes)
         # only the first chunk replaces the inputs; later chunks anchor
         # to their predecessor (insert_after) so the chunk run sits at
         # the fold's replay position
@@ -552,15 +594,15 @@ def _route_group(
     files: list[str], target: pa.Schema, key_cols: list[str], part: int,
     modulus: int, factor: int,
 ) -> tuple[pa.Table, ...]:
-    """Split routing: read a group of the parent's files and return one
-    slice per child (run with ``num_returns=factor``). Child j owns the
-    keys with ``hash % (modulus * factor) == part + j * modulus``; the
-    stable argsort keeps each slice in input row order."""
+    """Split routing: read the parent's rows of a group of its files and
+    return one slice per child (run with ``num_returns=factor``). Child
+    j owns the keys with ``hash % (modulus * factor) == part + j *
+    modulus``; the stable argsort keeps each slice in input row order."""
     import numpy as np
 
     from ..util import group_take_indices
 
-    tbl = pq.ParquetDataset(files, schema=target).read()
+    tbl = pq.ParquetDataset(files, schema=target, filters=pc.field(PART_COL) == part).read()
     ids = (
         hash_mod_column(tbl, key_cols, modulus * factor)
         .to_numpy(zero_copy_only=False)
@@ -589,33 +631,46 @@ def _fold_child(
 
 
 def _read_unit(
-    files: list[str], target: pa.Schema, key_cols: list[str], cols: list[str],
-    narrow: list[bool] | None = None, keys: pa.Table | None = None,
+    files: list[str], parts: list[int], target: pa.Schema, key_cols: list[str],
+    cols: list[str], narrow: list[bool] | None, keys: pa.Table | None, reads: dict,
 ) -> pa.Table:
     """The one lake reader: ``files`` in ledger order (the LWW tie
-    order) as one LWW-resolved table of ``cols``. A file flagged
+    order), each giving its rows of the partition at its place in
+    ``parts``, as one LWW-resolved table of ``cols``. A file flagged
     ``narrow`` contributes only its key, seq and op columns, its other
-    columns NULL; each run of consecutive files with one column set is
-    one parquet scan. With ``keys``, only those keys' rows are resolved
-    (exact polars semi-join, composite-key safe): resolving a key's own
-    rows equals global resolution, because all of its versions live in
-    its one partition."""
+    columns NULL. The unit's files its run (``reads``) has not read yet
+    are read in ONE scan per column set, with their rows of every
+    partition the run reads them for, cut by file and partition; a
+    file's last read drops its rows. With ``keys``, only those keys'
+    rows are resolved (exact polars semi-join, composite-key safe): a
+    key's versions all live in its one partition."""
     narrow_cols = sorted({OP_COL, SEQ_COL, *key_cols})
+    flags = narrow or [False] * len(files)
+    for is_narrow in (False, True):
+        todo = list(dict.fromkeys(
+            f for f, n in zip(files, flags) if n == is_narrow and "rows" not in reads[f, n]))
+        if not todo:
+            continue
+        want = sorted(set().union(*(reads[f, is_narrow]["parts"] for f in todo)))
+        t = pq.ParquetDataset(todo, schema=target, filters=pc.field(PART_COL).isin(want)).read(
+            columns=["__fragment_index", PART_COL, *(narrow_cols if is_narrow else cols)])
+        # a scan yields its files in order, each file's rows by partition
+        ends = t["__fragment_index"].to_numpy().searchsorted(range(len(todo) + 1))
+        for f, lo, hi in zip(todo, ends, ends[1:]):
+            reads[f, is_narrow].update(empty=t.schema.empty_table(), rows={
+                p: t.slice(lo + a, n) for p, (a, n) in _part_slices(t.slice(lo, hi - lo)).items()
+            })
     tables = []
-    for is_narrow, grp in itertools.groupby(
-        zip(files, narrow or [False] * len(files)), key=lambda fn: fn[1]
-    ):
-        t = pq.ParquetDataset([f for f, _ in grp], schema=target).read(
-            columns=narrow_cols if is_narrow else cols
-        )
-        tables.append(
-            pa.table(
-                {
-                    c: t[c] if c in t.column_names else pa.nulls(t.num_rows, target.field(c).type)
-                    for c in cols
-                }
-            )
-        )
+    for f, p, is_narrow in zip(files, parts, flags):
+        cached = reads[f, is_narrow]
+        t = cached["rows"].get(p, cached["empty"])
+        cached["parts"].remove(p)
+        if not cached["parts"]:  # its last read
+            del reads[f, is_narrow]
+        tables.append(pa.table({
+            c: t[c] if c in t.column_names else pa.nulls(t.num_rows, target.field(c).type)
+            for c in cols
+        }))
     t = pa.concat_tables(tables)
     if keys is not None:
         t = (
@@ -637,19 +692,28 @@ def _read_run(
     diff: dict | None = None,
 ) -> pa.Table:
     """Read one run of plan units (``LakeTable._plan``), unit by unit in
-    run order. A unit's ``files`` are read and resolved by
-    ``_read_unit`` with its ``narrow`` flags or ``keys``, filtered to
-    ``rng = (col, lo, hi)`` for a range scan (NULL never matches), and
-    cut to ``out_cols``. A DIFF unit (``diff`` holds ``base``,
-    ``splits_b`` and ``include_old``) is an a-state resolved ONCE, then
-    diffed against each of its ``children``' b-states; when ``route``
-    (a split lies between the cutoffs) each child sees only the a-rows
-    that b's topology routes to it."""
+    run order. A unit's ``files`` are read for its ``part`` (or
+    ``parts``, one per file) and resolved by ``_read_unit`` with its
+    ``narrow`` flags or ``keys``, filtered to ``rng = (col, lo, hi)`` for
+    a range scan (NULL never matches), and cut to ``out_cols``; each
+    file is read once for all of the run's units, and its rows are
+    dropped after the last unit that reads it (``reads``). A DIFF unit
+    (``diff`` holds ``base``, ``splits_b`` and ``include_old``) is an
+    a-state resolved ONCE, then diffed against each of its ``children``'
+    b-states; when ``route`` (a split lies between the cutoffs) each
+    child sees only the a-rows that b's topology routes to it."""
+    reads: dict[tuple, dict] = {}  # (file, narrow) -> the partitions of its reads left
+    for sub in (s for unit in run for s in (unit, *unit.get("children", ()))):
+        sub.setdefault("parts", [sub.get("part")] * len(sub["files"]))
+        for f, p, is_narrow in zip(sub["files"], sub["parts"],
+                                   sub.get("narrow") or [False] * len(sub["files"])):
+            reads.setdefault((f, is_narrow), {"parts": []})["parts"].append(p)
 
     def resolved(unit: dict) -> pa.Table:
         if not unit["files"]:  # a diff side with no files
             return pa.schema([target.field(c) for c in out_cols]).empty_table()
-        t = _read_unit(unit["files"], target, key_cols, cols, unit.get("narrow"), unit.get("keys"))
+        t = _read_unit(unit["files"], unit["parts"], target, key_cols, cols,
+                       unit.get("narrow"), unit.get("keys"), reads)
         if rng is not None:
             col, lo, hi = rng
             keep = pc.and_kleene(pc.greater_equal(t[col], lo), pc.less_equal(t[col], hi))
@@ -684,14 +748,15 @@ def _read_plan(batch: pa.Table, **kw) -> pa.Table:
 
 @ray.remote(num_cpus=0)
 def _lookup_run(run: list[dict], **kw) -> pa.Table:
-    """``lookup``'s task: one run of partitions read as ONE unit — one
-    parquet scan over all their kept files (partition order, each
-    partition's in ledger order) and one semi-join to all their keys.
-    That equals resolving each partition apart, because keys never
-    cross partitions. Zero-cpu: a handful of row-group reads, scheduled
-    without starving pipeline stages."""
+    """``lookup``'s task: one run of partitions read as ONE unit — each
+    partition's kept files in its own ledger order, partitions in run
+    order, each shared file read once — and one semi-join to all their
+    keys. That equals resolving each partition apart, because keys
+    never cross partitions. Zero-cpu: a handful of row-group reads,
+    scheduled without starving pipeline stages."""
     unit = {
         "files": [f for u in run for f in u["files"]],
+        "parts": [u["part"] for u in run for _ in u["files"]],
         "keys": pa.concat_tables([u["keys"] for u in run]),
     }
     return _read_run([unit], **kw)
@@ -760,21 +825,33 @@ def _tombstones_for(
     return pa.table(cols)
 
 
-def _zone_may_contain(stats: dict, keys: pa.Table) -> bool:
-    """True unless the zone map proves NO requested key is in the file:
-    a key matches iff every key column lies within that column's
-    [min, max]; missing / None bounds never prune."""
+def _zone_keys(keys: pa.Table) -> tuple[int, dict]:
+    """``keys`` for ``_zone_may_contain``, once per lookup partition: the
+    key count and, per column, its sorted distinct values and each key's
+    rank among them (-1 for NULL), so a file costs two binary searches."""
+    out = {}
+    for c in keys.column_names:
+        uniq = pc.unique(keys[c].drop_null())
+        uniq = uniq.take(pc.sort_indices(uniq))
+        rank = pc.fill_null(pc.index_in(keys[c], value_set=uniq), -1)
+        out[c] = (uniq.to_numpy(zero_copy_only=False), rank.to_numpy(zero_copy_only=False))
+    return keys.num_rows, out
+
+
+def _zone_may_contain(stats: dict, zone_keys: tuple[int, dict]) -> bool:
+    """True unless the zone map proves no key of ``_zone_keys`` is in the
+    file: a key matches iff each key column lies within its [min, max];
+    missing / None bounds never prune; a NULL lies within no bounds."""
     import numpy as np
 
-    mask = np.ones(keys.num_rows, dtype=bool)
-    for c in keys.column_names:
+    n, cols = zone_keys
+    mask = np.ones(n, dtype=bool)
+    for c, (uniq, rank) in cols.items():
         b = stats.get(c)
         if not b or b[0] is None:
             continue
-        v = keys[c]
-        ge = pc.fill_null(pc.greater_equal(v, b[0]), False)
-        le = pc.fill_null(pc.less_equal(v, b[1]), False)
-        mask &= pc.and_(ge, le).to_numpy(zero_copy_only=False)
+        lo, hi = np.searchsorted(uniq, b[0], "left"), np.searchsorted(uniq, b[1], "right")
+        mask &= (rank >= lo) & (rank < hi)
         if not mask.any():
             return False
     return bool(mask.any())
@@ -824,9 +901,10 @@ class LakeTable:
         """Split the active partition ids into fold groups, one
         ``_fold_window`` task each: ``min(active, cpus // 2)`` groups
         (half the CPUs leaves slots for the read/prep stages of the next
-        window), group ``g`` owning the ids ``p % n == g``. The grouping
-        never changes a file: each partition's rows are resolved and
-        written the same in any group."""
+        window), group ``g`` owning the ids ``p % n == g``. Each group
+        writes one file, so the group count decides a window's files but
+        never a partition's rows: each partition's rows are resolved the
+        same, and keep their order, in any group."""
         if self._cpus is None:
             self._cpus = int(ray.cluster_resources().get("CPU", 8))
         n = max(1, min(len(active), self._cpus // 2))
@@ -1040,12 +1118,14 @@ class LakeTable:
 
         table = isinstance(ds, pa.Table)
         in_schema = ds.schema if table else ds.schema()
+        _t_schema = _time.perf_counter()
         if in_schema is not None:
             # a zero-BLOCK window (e.g. a replication re-sync of an empty
             # source) has no schema; there is nothing to pin or reconcile,
             # but the window must still COMMIT so the watermark advances
             self._commit_schema(in_schema if table else in_schema.base_schema)
         target = self.full_arrow_schema()
+        schema_sec = _time.perf_counter() - _t_schema
         key_cols = self.key_cols
         num_parts = self.num_partitions
         # routing topology, read fresh per window: a partition split
@@ -1128,35 +1208,39 @@ class LakeTable:
                     "live": {p: st.parts[p] for p in g if p in st.parts}}
 
         tasks = [_fold_window.remote(g, window_tag, group_writer(g), *refs) for g in groups if refs]
-        stats_rows = [r for rows in ray.get(tasks) for r in rows]
-        replaces = {str(r["part"]): r["replaces"] for r in stats_rows if "replaces" in r}
+        infos = [r for rows in ray.get(tasks) for r in rows]
+        replaces = {str(p): r["replaces"] for r in infos if "replaces" in r for p in r["parts"]}
+        per_part = sorted(({"part": p, **c} for r in infos for p, c in r["parts"].items()),
+                          key=lambda c: c["part"])
 
         entry = {
             "kind": "window",
             "lo": lo,
             "hi": hi,
             "schema_version": self.schema.version,
-            "files": {str(r["part"]): r["file"] for r in stats_rows},
-            "key_stats": {str(r["part"]): r["key_stats"] for r in stats_rows},
+            # each file once, with {partition: its byte share}
+            "files": {r["file"]: {str(p): c["bytes"] for p, c in r["parts"].items()}
+                      for r in infos},
+            "key_stats": {r["file"]: r["key_stats"] for r in infos},
             **({"replaces": replaces} if replaces else {}),
             "metrics": {
-                "partitions": len(stats_rows),
-                "rows_written": int(sum(r["rows"] for r in stats_rows)),
-                "tombstones": int(sum(r["tombstones"] for r in stats_rows)),
-                "bytes_written": int(sum(r["bytes"] for r in stats_rows)),
+                "partitions": len(per_part),
+                "rows_written": int(sum(c["rows"] for c in per_part)),
+                "tombstones": int(sum(c["tombstones"] for c in per_part)),
+                "bytes_written": int(sum(r["bytes"] for r in infos)),
                 "window_sec": round(_time.perf_counter() - _t0, 3),
                 "stages": {
+                    # _commit_schema + full_arrow_schema
+                    "schema_sec": round(schema_sec, 3),
                     "stream_sec": round(stream_sec, 3),
-                    # the slowest group's own fold+write time
-                    "fold_sec": max((r["fold_sec"] for r in stats_rows), default=0.0),
+                    # the slowest group's own fold+write and write times
+                    "fold_sec": max((r["fold_sec"] for r in infos), default=0.0),
+                    "write_sec": max((r["write_sec"] for r in infos), default=0.0),
                 },
                 "events_per_sec": round(
                     (hi - lo) / max(1e-9, _time.perf_counter() - _t0)
                 ),
-                "per_partition": [
-                    {k: r[k] for k in ("part", "rows", "tombstones", "bytes")}
-                    for r in stats_rows
-                ],
+                "per_partition": per_part,
                 **(extra_metrics or {}),
             },
         }
@@ -1189,6 +1273,12 @@ class LakeTable:
             raise self._missing_files_error(tag, missing)
         return live
 
+    def _sizes(self, st: LedgerState, p: int, files: list[str]) -> list[int]:
+        """Partition ``p``'s byte share of each of its ``files`` in
+        ``st`` (a file's size where its ledger row recorded none)."""
+        shares = [st.shares.get(os.path.relpath(f, self.dir), {}).get(p) for f in files]
+        return [os.path.getsize(f) if b is None else b for f, b in zip(files, shares)]
+
     def max_row_seq(self) -> int:
         """Max ROW-level commit_seq across live files (tombstones
         included) from parquet FOOTER stats — no data scan. Distinct
@@ -1202,19 +1292,21 @@ class LakeTable:
         lacks commit_seq bounds (another writer's) has its commit_seq
         column read instead (``parquet_seq_bounds``), so the result is
         never too low."""
-        bounds = [parquet_seq_bounds(f) for fs in self.live_files().values() for f in fs]
+        live = {f for fs in self.live_files().values() for f in fs}
+        bounds = [parquet_seq_bounds(f) for f in sorted(live)]  # each file once
         return max([0, *(b[1] for b in bounds if b)])
 
     def read(
         self, columns: list[str] | None = None, as_of: int | None = None
     ) -> "ray.data.Dataset":
         """Resolved view of the table as a streaming Dataset, NO shuffle:
-        a partition's base+delta files are co-located by construction, so
-        per-partition resolution equals global resolution. Whole
-        partitions are packed into tasks of at most ``_READ_TASK_BYTES``
-        on-disk bytes (one task for a small lake), each resolving its
-        partitions one by one. Old files are null-padded / up-cast to the
-        current reconciled schema by the parquet scanner (``schema=``).
+        every version of a key is in its one partition's rows of that
+        partition's files, so per-partition resolution equals global
+        resolution. Whole partitions are packed into tasks of at most
+        ``_READ_TASK_BYTES`` on-disk bytes (one task for a small lake),
+        each resolving its partitions one by one. Old files are
+        null-padded / up-cast to the current reconciled schema by the
+        parquet scanner (``schema=``).
 
         ``columns`` prunes at the read: only the requested payload
         columns plus the key/seq/op system columns leave storage.
@@ -1226,10 +1318,11 @@ class LakeTable:
         missing files named); window files carry only their own (lo, hi]
         seqs, so no row-level seq filter is needed."""
         tag = None if as_of is None else f"time-travel as_of={as_of}"
-        live = self._live_paths(self.ledger.state(as_of), tag)
+        st = self.ledger.state(as_of)
+        live = self._live_paths(st, tag)
         target = self.full_arrow_schema()
-        units = [{"files": fs} for _, fs in sorted(live.items())]
-        return self._plan_dataset(units, target, self._out_cols(target, columns))[0]
+        units = [{"part": p, "files": fs} for p, fs in sorted(live.items())]
+        return self._plan_dataset(units, target, self._out_cols(target, columns), st)[0]
 
     def _out_cols(self, target: pa.Schema, columns: list[str] | None) -> list[str]:
         """A read's output columns: ``columns`` plus the key columns, or,
@@ -1242,22 +1335,27 @@ class LakeTable:
 
     def _plan(
         self, units: list[dict], target: pa.Schema, out_cols: list[str],
+        st: LedgerState, st_b: LedgerState | None = None,
         rng: tuple | None = None, diff: dict | None = None,
     ) -> tuple[list[list[dict]], dict]:
         """The read planner's packer, behind every lake read. ``units``
         come one per partition (a diff: one per a-parent), in partition
-        order, each holding its ``files`` in ledger order plus ``narrow``
-        flags (``scan_range``), ``keys`` (``lookup``) or ``children``
-        (``diff_as_of``). They are packed whole, by the on-disk bytes of
-        their files (a diff unit's children included), into runs of at
-        most ``_READ_TASK_BYTES``. Returns the runs and ``_read_run``'s
+        order, each holding its ``part`` and its ``files`` in ledger
+        order in state ``st``, plus ``narrow`` flags (``scan_range``),
+        ``keys`` (``lookup``) or ``children`` (``diff_as_of``, each a
+        ``part`` and its files in ``st_b``). They are packed whole, by
+        the partitions' on-disk shares of their files (``_sizes``; a
+        diff unit's children included), into runs of at most
+        ``_READ_TASK_BYTES``. Returns the runs and ``_read_run``'s
         keyword arguments; their ``out_schema`` (``out_cols``, plus a
         diff's ``<col>__old`` and ``change`` columns) gives the empty
         result."""
-        runs = _read_runs(
-            units,
-            [u["files"] + [f for c in u.get("children", ()) for f in c["files"]] for u in units],
-        )
+        sizes = [
+            sum(self._sizes(st, u["part"], u["files"])) + sum(
+                sum(self._sizes(st_b, c["part"], c["files"])) for c in u.get("children", ()))
+            for u in units
+        ]
+        runs = _bounded_runs(units, sizes, _READ_TASK_BYTES)
         fields = [target.field(c) for c in out_cols]
         if diff is not None:
             if diff["include_old"]:
@@ -1273,11 +1371,12 @@ class LakeTable:
         )
 
     def _plan_dataset(
-        self, units: list[dict], target: pa.Schema, out_cols: list[str], **post,
+        self, units: list[dict], target: pa.Schema, out_cols: list[str], st: LedgerState,
+        **post,
     ) -> tuple["ray.data.Dataset", int]:
         """A planned read (``_plan``) as a Dataset, and its task count:
         one Ray Data item and one ``_read_plan`` call per run."""
-        runs, kw = self._plan(units, target, out_cols, **post)
+        runs, kw = self._plan(units, target, out_cols, st, **post)
         if not runs:
             return ray.data.from_arrow(kw["out_schema"].empty_table()), 0
         ds = ray.data.from_items([{"units": r} for r in runs]).map_batches(
@@ -1330,8 +1429,8 @@ class LakeTable:
                 continue  # no in-range version can exist in this partition
             n_narrow += sum(narrow)
             n_full += len(fs) - sum(narrow)
-            units.append({"files": fs, "narrow": narrow})
-        ds, tasks = self._plan_dataset(units, target, out_cols, rng=(col, lo, hi))
+            units.append({"part": p, "files": fs, "narrow": narrow})
+        ds, tasks = self._plan_dataset(units, target, out_cols, st, rng=(col, lo, hi))
         self.last_scan_stats = {
             "files_total": sum(len(fs) for fs in live.values()),
             "files_full": n_full,
@@ -1419,17 +1518,18 @@ class LakeTable:
             for p, idx in sorted(by_part.items()):
                 ktab = keys.take(idx)
                 kh = hash64_column(ktab, key_cols).to_numpy(zero_copy_only=False)
+                zk = _zone_keys(ktab)
                 kept = []
                 for f in live.get(p, []):
-                    if not _zone_may_contain(st.zones.get(os.path.relpath(f, self.dir), {}), ktab):
+                    if not _zone_may_contain(st.zones.get(os.path.relpath(f, self.dir), {}), zk):
                         zone_skipped += 1
                     elif not _bloom_may_contain(f, kh):
                         bloom_skipped += 1
                     else:
                         kept.append(f)
                 if kept:
-                    units.append({"files": kept, "keys": ktab})
-        runs, kw = self._plan(units, target, self._out_cols(target, columns))
+                    units.append({"part": p, "files": kept, "keys": ktab})
+        runs, kw = self._plan(units, target, self._out_cols(target, columns), st)
         tasks = [_lookup_run.remote(run, **kw) for run in runs]
         self.last_lookup_stats = {
             "keys": keys.num_rows,
@@ -1471,9 +1571,9 @@ class LakeTable:
 
         Scale shape: like :meth:`read`, NO shuffle, and whole
         partitions packed into tasks of at most ``_READ_TASK_BYTES``
-        on-disk bytes — a partition's files at both cutoffs are
-        co-located by construction, so a task resolves both states of
-        each of its partitions locally (``_read_unit``) and diffs them
+        on-disk bytes — a partition's rows at both cutoffs are its rows
+        of the files each state lists for it, so a task resolves both
+        states of each of its partitions locally (``_read_unit``) and diffs them
         with one vectorized polars full join (``_read_run``). Cost is O(|state_a| +
         |state_b|), never a cross-partition exchange. Subject to the same
         vacuumed-history rule as time travel.
@@ -1509,6 +1609,7 @@ class LakeTable:
         if splits_a == splits_b:
             units = [
                 {
+                    "part": p,
                     "files": live_a.get(p, []),
                     "route": False,
                     "children": [{"part": p, "files": live_b.get(p, [])}],
@@ -1549,13 +1650,14 @@ class LakeTable:
                     by_parent.setdefault(pa_id, []).append({"part": c, "files": fb})
             # a split's a-parent and all its b-children stay one unit
             units = [
-                {"files": live_a.get(pa_id, []), "route": True, "children": children}
+                {"part": pa_id, "files": live_a.get(pa_id, []), "route": True,
+                 "children": children}
                 for pa_id, children in sorted(
                     by_parent.items(), key=lambda kv: (kv[0] is None, kv[0])
                 )
             ]
         diff = {"base": base, "splits_b": splits_b, "include_old": include_old}
-        return self._plan_dataset(units, target, out_cols, diff=diff)[0]
+        return self._plan_dataset(units, target, out_cols, st_a, st_b=st_b, diff=diff)[0]
 
     # -- maintenance --------------------------------------------------------
 
@@ -1650,37 +1752,39 @@ class LakeTable:
         Lake's OPTIMIZE bin-packs small-file compaction the same way).
         One ledger row commits all folds atomically; a crash
         mid-compaction leaves only orphaned tmp files.
+
+        A window file holds its fold group's partitions. Once a pass
+        folds it out of one, or any partition dropped it (a split, a
+        compacting window: its shares sum below its size), the pass folds
+        it out of all, ``min_files`` aside, in runs under
+        ``max_input_bytes`` (a lone unit on its own).
         """
         self._check_cluster_by(cluster_by)
         st = self.ledger.state()
         target = self.full_arrow_schema()  # after the state: covers its files
         layout = self._layout(cluster_by, max_input_bytes)
         gen = st.seq + 1
-        todo = {p: _chunk_runs(fs) for p, fs in self._live_paths(st).items()}
-        todo = {p: units for p, units in todo.items() if len(units) >= min_files}
-        if not todo:
-            return {"kind": "compact", "parts": {}}
-        folds = []
-        for p, units in sorted(todo.items()):
+        live = self._live_paths(st)
+        size = {p: dict(zip(fs, self._sizes(st, p, fs))) for p, fs in live.items()}
+        units_of = {p: _chunk_runs(fs) for p, fs in live.items()}
+        plan: dict[int, list[tuple[int, list, bool]]] = {}  # p -> [(tier, units, fallback)]
+        for p, units in sorted(units_of.items()):
+            if len(units) < min_files:
+                continue
             # tiers group whole UNITS (a chunk run counts once), so a
             # run already cut at the budget is a singleton and stays
-            sizes = [sum(os.path.getsize(f) for f in u) for u in units]
-            groups = (
-                [units]
-                if max_input_bytes is None
-                else _bounded_runs(units, sizes, max_input_bytes)
-            )
+            sizes = [sum(size[p][f] for f in u) for u in units]
+            groups = _bounded_runs(units, sizes, max_input_bytes or math.inf)
             full_fold = len(groups) == 1 and len(groups[0]) == len(units)
             # a lone (possibly huge) tier passes through; a FULL
             # single-unit fold still runs (min_files=1 +
             # tombstone_watermark relies on it)
-            part_folds = [
-                (t, grp, full_fold)
+            plan[p] = [
+                (t, grp, False)
                 for t, grp in enumerate(groups)
                 if len(grp) >= 2 or full_fold
             ]
-            fallback = not part_folds and len(units) >= 2
-            if fallback:
+            if not plan[p] and len(units) >= 2:
                 # TIER STALL: every byte-bounded group is a singleton
                 # (adjacent units each near or over the budget), so no
                 # fold would ever run. Fold the adjacent unit pair with
@@ -1695,17 +1799,39 @@ class LakeTable:
                     if not cluster_by
                     or -(-b // max_input_bytes) <= len(units[k]) + len(units[k + 1])
                 ]
-                if not cands:
+                if cands:
+                    i = min(cands, key=pairs.__getitem__)
+                    plan[p] = [(i, units[i : i + 2], True)]
+        rel = {f: os.path.relpath(f, self.dir) for fs in live.values() for f in fs}
+        folded = {f for tiers in plan.values() for _, grp, _ in tiers for u in grp for f in u}
+        forced = {f for f in folded if len(st.shares[rel[f]]) > 1} | {
+            f for f, r in rel.items()
+            if None not in st.shares[r].values()
+            and sum(st.shares[r].values()) < os.path.getsize(f)
+        }
+        for p, units in sorted(units_of.items()):
+            mine = {f for _, grp, _ in plan.get(p, []) for u in grp for f in u}
+            # forced units not folded yet fold in budget-cut runs, like tiers
+            for due, run in itertools.groupby(
+                units, key=lambda u: u[0] in forced and u[0] not in mine
+            ):
+                run = list(run)
+                if not due:
                     continue
-                i = min(cands, key=pairs.__getitem__)
-                part_folds = [(i, units[i : i + 2], len(units) == 2)]
-            for t, grp, full in part_folds:
+                cost = [sum(size[p][f] for f in u) for u in run]
+                for grp in _bounded_runs(run, cost, max_input_bytes or math.inf):
+                    plan.setdefault(p, []).append((len(units) + units.index(grp[0]), grp, False))
+        folds = []
+        for p, tiers in sorted(plan.items()):
+            n = len(units_of[p])
+            for t, grp, fallback in tiers:
                 files = [f for u in grp for f in u]
+                full = len(grp) == n
                 folds.append((
                     files, p,
-                    f"base-{gen:08d}" if full_fold else f"base-{gen:08d}-{t:03d}",
+                    f"base-{gen:08d}" if full else f"base-{gen:08d}-{t:03d}",
                     tombstone_watermark if full else 0, fallback,
-                    sum(os.path.getsize(f) for f in files),
+                    sum(size[p][f] for f in files),
                 ))
         if not folds:
             return {"kind": "compact", "parts": {}}
@@ -1795,6 +1921,7 @@ class LakeTable:
         modulus = act[part]
         children = [part + j * modulus for j in range(factor)]
         live = self._live_paths(st).get(part, [])
+        size = dict(zip(live, self._sizes(st, part, live)))
         target = self.full_arrow_schema()
         layout = self._layout(cluster_by, max_input_bytes)
         gen = st.seq + 1
@@ -1802,9 +1929,7 @@ class LakeTable:
         groups = (
             [[f] for f in live]  # default: one routing task per file
             if max_input_bytes is None
-            else _bounded_runs(
-                live, [os.path.getsize(f) for f in live], max_input_bytes
-            )
+            else _bounded_runs(live, [size[f] for f in live], max_input_bytes)
         )
 
         slices = [
@@ -1814,7 +1939,7 @@ class LakeTable:
             for grp in groups
         ]
         # every child receives ~1/factor of each group's on-disk bytes
-        shares = [sum(os.path.getsize(f) for f in grp) / factor for grp in groups]
+        shares = [sum(size[f] for f in grp) / factor for grp in groups]
         runs = _bounded_runs(
             range(len(groups)),
             shares,
@@ -1897,10 +2022,7 @@ class LakeTable:
         splits_done = []
         if max_partition_bytes is not None:
             st = self.ledger.state()
-            sizes = {
-                p: sum(os.path.getsize(f) for f in fs)
-                for p, fs in self._live_paths(st).items()
-            }
+            sizes = {p: sum(self._sizes(st, p, fs)) for p, fs in self._live_paths(st).items()}
             act = active_moduli(self.num_partitions, st.splits)
             for p, nbytes in sorted(sizes.items()):
                 if p in act and nbytes > max_partition_bytes:
@@ -1946,7 +2068,7 @@ class LakeTable:
         Returns the committed entry plus {"removed": n} counts."""
         st = self.ledger.state()
         cutoff = st.seq - keep_history
-        remove = [f for f, s in st.pending.items() if s <= cutoff and f not in st.live]
+        remove = [f for f, s in st.pending.items() if s <= cutoff and f not in st.shares]
         # stragglers: files the newest vacuum row named that STILL EXIST
         # (a crash between that row and its unlinks); this pass's row
         # names them again, so the state keeps one pass's names only.
@@ -1955,7 +2077,7 @@ class LakeTable:
             for f in st.vacuumed
             # any leftover counts: a crash between the parquet unlink and
             # the sidecar unlinks must not orphan a sidecar forever
-            if f not in st.live
+            if f not in st.shares
             and any(os.path.exists(os.path.join(self.dir, f + x)) for x in _LAKE_FILE_SUFFIXES)
         ]
         entry = {
@@ -2005,7 +2127,9 @@ class LakeTable:
 
     def ingest_report(self) -> dict:
         """T7/A3 analog: fold the ledger's per-window lineage into run
-        totals (success counters; per-partition detail preserved)."""
+        totals (success counters; per-partition detail preserved), plus
+        the live files and their on-disk bytes, each file once."""
+        live = {f for fs in self.ledger.state().parts.values() for f in fs}
         windows = self.ledger.window_metrics()
         self.full_arrow_schema()  # brings self.schema to the newest version
         per_part: dict[int, dict] = {}
@@ -2025,6 +2149,8 @@ class LakeTable:
             "tombstones": sum(w["metrics"]["tombstones"] for w in windows if "metrics" in w),
             "bytes_written": sum(w["metrics"]["bytes_written"] for w in windows if "metrics" in w),
             "schema_version": self.schema.version,
+            "live_files": len(live),
+            "live_bytes": sum(os.path.getsize(os.path.join(self.dir, f)) for f in live),
             "partitions": per_part,
         }
 

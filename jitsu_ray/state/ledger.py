@@ -11,6 +11,11 @@ resync repairs) use unique tags instead — they may share bounds with a
 committed window they must never overwrite — and converge by LWW state,
 not path identity.
 
+A window row names each file once with every partition's byte share
+(``files: {file: {part: bytes}}``, summing to the file's size); older
+rows (``{part: file}``) still read. A file stays live while any
+partition lists it; the last to drop it hands it to vacuum.
+
 A window row may retire files too. A COMPACTING window
 (``LakeTable.apply_window(compact=True)``, batch replay's last window)
 folds each touched partition's live files into its output and records
@@ -19,8 +24,9 @@ partitions exactly as a compaction row's, so vacuum, checkpoints and
 bounded views treat the replaced files alike.
 
 ONE STATE. Everything the lake reads from the log — live files per
-partition in replay order, the split topology, the max window ``hi``,
-the zone maps of live files, replaced-but-unvacuumed files (with the
+partition in replay order, each listing's byte share, the split
+topology, the max window ``hi``, the zone maps of live files,
+replaced-but-unvacuumed files (with the
 seq that replaced them) and the files the newest vacuum row removed — is
 a field of one :class:`LedgerState`, advanced by exactly one fold,
 ``apply``. A :class:`Ledger` keeps one state in-process plus a CURSOR,
@@ -93,9 +99,11 @@ class LedgerState:
         self.splits: list[tuple[int, int, int]] = []  # (parent, modulus, factor)
         self.hi = 0
         self.zones: dict[str, dict] = {}  # live file -> key/stats zone map
+        # live file -> {partition listing it: its byte share, or None
+        # when the row that wrote it recorded none}
+        self.shares: dict[str, dict[int, int | None]] = {}
         self.pending: dict[str, int] = {}  # replaced file -> replacing seq
         self.vacuumed: set[str] = set()  # the newest vacuum row's files
-        self.live: set[str] = set()  # every file of ``parts``
         self._skipped = False  # bounded: a window above the bound was excluded
         self._frozen = False  # bounded: topology break
 
@@ -130,14 +138,19 @@ class LedgerState:
                 return
         if kind == "window":
             self.hi = max(self.hi, int(e["hi"]))
-            zones = e.get("key_stats", {})
+            files, zones = e.get("files", {}), e.get("key_stats", {})
+            if files and isinstance(next(iter(files.values())), str):
+                # a row before shared files: {part: file}, zone maps by part
+                zones = {f: zones.get(p) for p, f in files.items()}
+                files = {f: {p: None} for p, f in files.items()}
             replaces = e.get("replaces", {})
-            for p, f in e.get("files", {}).items():
-                if p in replaces:  # a compacting window: fold like compact
-                    self._fold(int(p), {"file": f, "replaces": replaces[p],
-                                        "key_stats": zones.get(p)})
-                else:
-                    self._add(int(p), f, zones.get(p))
+            for f, held in files.items():
+                for p, share in held.items():
+                    if p in replaces:  # a compacting window: fold like compact
+                        self._fold(int(p), {"file": f, "replaces": replaces[p],
+                                            "key_stats": zones.get(f), "bytes": share})
+                    else:
+                        self._add(int(p), f, zones.get(f), share)
         elif kind == "compact":
             for p, info in e["parts"].items():
                 # tiered compactions record a LIST of folds per
@@ -151,17 +164,18 @@ class LedgerState:
             parent = int(e["parent"])
             replaced = set(e["replaces"])
             self._set(parent, [f for f in self.parts.get(parent, []) if f not in replaced])
-            self._retire(e["replaces"])
+            self._retire(parent, e["replaces"])
             for c, infos in e["parts"].items():
                 for one in infos:
-                    self._add(int(c), one["file"], one.get("key_stats"))
+                    self._add(int(c), one["file"], one.get("key_stats"), one.get("bytes"))
             self.splits.append((parent, int(e["modulus"]), int(e["factor"])))
 
-    def _add(self, p: int, f: str, zone: dict | None) -> None:
+    def _add(self, p: int, f: str, zone: dict | None, share: int | None) -> None:
         if zone:
             self.zones[f] = zone
-        if f not in self.live:  # older forced re-applies committed one
-            self.live.add(f)  # deterministic path twice
+        held = self.shares.setdefault(f, {})
+        if p not in held:  # older forced re-applies committed one
+            held[p] = share  # deterministic path twice
             self.parts.setdefault(p, []).append(f)
 
     def _set(self, p: int, files: list[str]) -> None:
@@ -170,10 +184,14 @@ class LedgerState:
         else:
             self.parts.pop(p, None)
 
-    def _retire(self, files) -> None:
-        """Replaced files leave the live view and wait for vacuum."""
+    def _retire(self, p: int, files) -> None:
+        """``p`` drops ``files``; one no partition lists waits for vacuum."""
         for f in files:
-            self.live.discard(f)
+            held = self.shares.get(f, {})
+            held.pop(p, None)
+            if held:
+                continue
+            self.shares.pop(f, None)
             self.zones.pop(f, None)
             if f not in self.vacuumed:
                 self.pending.setdefault(f, self.seq)
@@ -206,15 +224,19 @@ class LedgerState:
             anchor = info.get("insert_after")
             out.insert(out.index(anchor) + 1 if anchor in out else len(out), new)
         self._set(p, out)
-        self._retire(info["replaces"])
+        self._retire(p, info["replaces"])
         if new:
-            self.live.add(new)
+            self.shares.setdefault(new, {})[p] = info.get("bytes")
             if info.get("key_stats"):
                 self.zones[new] = info["key_stats"]
 
     def _load(self, e: dict) -> None:
         self.parts = {int(p): list(fs) for p, fs in e["parts"].items() if fs}
-        self.live = {f for fs in self.parts.values() for f in fs}
+        saved = e.get("shares", {})  # absent from checkpoints before shares
+        self.shares = {}
+        for p, fs in self.parts.items():
+            for f in fs:
+                self.shares.setdefault(f, {})[p] = saved.get(f, {}).get(str(p))
         self.splits = [tuple(int(x) for x in s) for s in e["splits"]]
         self.hi = int(e["hi"])
         self.zones = dict(e["zones"])
@@ -229,6 +251,7 @@ class LedgerState:
             "parts": {str(p): fs for p, fs in self.parts.items()},
             "splits": [list(s) for s in self.splits],
             "zones": self.zones,
+            "shares": {f: {str(p): b for p, b in held.items()} for f, held in self.shares.items()},
             "pending": self.pending,
             "vacuumed": sorted(self.vacuumed),
         }
@@ -339,7 +362,7 @@ class Ledger:
         reader (a reopened lake, another process) parses O(rows since
         the checkpoint), not O(all rows). The row carries every field of
         :class:`LedgerState`: live files per partition in replay order,
-        the split topology, the max committed window ``hi``, the zone
+        each listing's byte share, the split topology, the max committed window ``hi``, the zone
         maps of the live files, the replaced-but-unvacuumed files with
         the seq that replaced them, and the files the newest vacuum row
         removed (one pass's worth, not every file ever vacuumed). Bounded

@@ -3,6 +3,7 @@ tombstones + resurrection, resume/idempotent replay, skew spreading."""
 
 import contextlib
 import os
+from unittest import mock
 
 import pyarrow as pa
 import pyarrow.parquet as pq
@@ -234,15 +235,29 @@ def _lake_fingerprint(lake):
     return state, files, blobs
 
 
+def _part_rows(lake):
+    """{partition: sorted (repo, path, seq, op, content) rows that its
+    live files hold for it} — a partition's own rows of each file."""
+    import pyarrow.compute as pc
+
+    out = {}
+    for p, fs in lake.live_files().items():
+        t = pq.ParquetDataset(fs, filters=pc.field("__part") == p).read(
+            columns=["repo", "path", "commit_seq", "op", "content"])
+        out[p] = sorted(zip(*(t[c].to_pylist() for c in t.column_names)), key=repr)
+    return out
+
+
 def test_fold_group_count_equivalent_state(ray_session, tmp_path, monkeypatch):
-    """The number of fold groups (one ``_fold_window`` task each) never
-    changes a file: 1, 3 and 8 groups give the same read() state, the
-    same ledger ``files`` and byte-identical data files and Bloom
-    sidecars, also for windows routed across a committed split. A window
-    passed as a ``pa.Table`` (prepped in the driver) gives the same lake
-    as the same rows passed as a Dataset, runs no Ray Data execution and
-    submits one fold task per group, each reading the one prepped
-    block."""
+    """The number of fold groups (one ``_fold_window`` task each) decides
+    a window's files but never a partition's rows: 1, 3 and 8 groups
+    give the same read() state and the same rows per partition, also for
+    windows routed across a committed split, and each group writes one
+    file per window. At a fixed group count, a window passed as a
+    ``pa.Table`` (prepped in the driver) gives the same lake, byte for
+    byte, as the same rows passed as a Dataset, runs no Ray Data
+    execution and submits one fold task per group, each reading the one
+    prepped block."""
     import ray.data
 
     from jitsu_ray.sinks import lake as lake_mod
@@ -264,11 +279,17 @@ def test_fold_group_count_equivalent_state(ray_session, tmp_path, monkeypatch):
     def as_table(t):
         return t
 
-    one = _lake_fingerprint(build(1, ray.data.from_arrow))
+    lakes = {g: build(g, ray.data.from_arrow) for g in (1, 3, 8)}
+    one = _lake_fingerprint(lakes[1])
     assert set(one[1][2]) == {"3", "11", "19"}  # the split row's children
-    assert set(one[1][3]) & {"11", "19"}  # the last window wrote into them
-    assert _lake_fingerprint(build(3, ray.data.from_arrow)) == one
-    assert _lake_fingerprint(build(8, ray.data.from_arrow)) == one
+    [last] = one[1][3].values()  # one group: the window's one file
+    assert set(last) & {"11", "19"}  # the last window wrote into them
+    rows = _part_rows(lakes[1])
+    for g, lake in lakes.items():
+        wins = [e for e in lake.ledger.entries() if e["kind"] == "window"]
+        assert [len(e["files"]) for e in wins] == [g, g, min(g, 10)]
+        assert _lake_fingerprint(lake)[0] == one[0]  # the read() state
+        assert _part_rows(lake) == rows
 
     real = lake_mod._fold_window
     folds = []
@@ -293,15 +314,17 @@ def test_fold_group_count_equivalent_state(ray_session, tmp_path, monkeypatch):
         tags = [tag for tag, _ in folds]
         assert [tags.count(t) for t in dict.fromkeys(tags)] == per_window
         assert {n for _, n in folds} == {1}
-        assert _lake_fingerprint(lake) == one
+        assert _lake_fingerprint(lake) == _lake_fingerprint(lakes[groups])
 
 
 def test_split_block_routes_only_owned_rows(ray_session, tmp_path):
     """Each fold task keeps ONLY its own partitions' rows of every block:
-    group ``g`` of 4 writes files for partitions ``p % 4 == g`` alone,
-    every row in a file carries that file's partition, and the groups'
-    files hold the window's resolved rows once each — nothing lost,
-    nothing duplicated."""
+    group ``g`` of 4 writes one file, under its lowest partition ``g``,
+    holding rows of partitions ``p % 4 == g`` alone, sorted by
+    partition; the file lists exactly the partitions its rows carry,
+    with byte shares that sum to its size, and the groups' files hold
+    the window's resolved rows once each — nothing lost, nothing
+    duplicated."""
     import ray as _ray
     import ray.data
 
@@ -327,12 +350,17 @@ def test_split_block_routes_only_owned_rows(ray_session, tmp_path):
     ])
     keys = []
     for g, rows in enumerate(infos):
-        assert rows  # 1000 events over 16 partitions reach every group
-        for r in rows:
-            assert r["part"] % pool == g  # group g wrote ONLY its partitions
-            got = pq.read_table(os.path.join(lake.dir, r["file"]))
-            assert set(got[PART_COL].to_pylist()) == {r["part"]}
-            keys += zip(got["repo"].to_pylist(), got["path"].to_pylist())
+        [r] = rows  # 1000 events over 16 partitions reach every group
+        assert r["file"] == f"part={g:05d}/delta-000000000200-000000001200.parquet"
+        assert all(p % pool == g for p in r["parts"])  # group g wrote ONLY its partitions
+        got = pq.read_table(os.path.join(lake.dir, r["file"]))
+        assert got[PART_COL].to_pylist() == sorted(got[PART_COL].to_pylist())
+        assert set(got[PART_COL].to_pylist()) == set(r["parts"])
+        assert {p: c["rows"] for p, c in r["parts"].items()} == {
+            p: got[PART_COL].to_pylist().count(p) for p in r["parts"]}
+        assert sum(c["bytes"] for c in r["parts"].values()) == r["bytes"] == os.path.getsize(
+            os.path.join(lake.dir, r["file"]))
+        keys += zip(got["repo"].to_pylist(), got["path"].to_pylist())
     want = resolve_keep_tombstones(pa.concat_tables(blocks), key_cols)
     assert len(keys) == len(set(keys)) == want.num_rows  # nothing lost or doubled
     assert set(keys) == set(zip(want["repo"].to_pylist(), want["path"].to_pylist()))
@@ -340,9 +368,10 @@ def test_split_block_routes_only_owned_rows(ray_session, tmp_path):
 
 def test_exchange_split_mode_equivalent_state(ray_session, tmp_path, monkeypatch):
     """The split exchange — several fold groups, each taking only its own
-    rows out of every block — converges to the same lake, byte for byte,
-    as one group folding every row, when windows arrive as many blocks
-    whose equal keys must keep their block order."""
+    rows out of every block — converges to the same read() state and the
+    same rows per partition, in the same order, as one group folding
+    every row, when windows arrive as many blocks whose equal keys must
+    keep their block order."""
     import ray.data
 
     from jitsu_ray.sinks import lake as lake_mod
@@ -366,7 +395,7 @@ def test_exchange_split_mode_equivalent_state(ray_session, tmp_path, monkeypatch
         for lo in (0, 2000):
             pieces = [tbl.slice(lo + i, 400) for i in range(0, 2000, 400)]
             lake.apply_window(ray.data.from_arrow(pieces), lo, lo + 2000)
-        return _lake_fingerprint(lake)
+        return _lake_fingerprint(lake)[0], _part_rows(lake)
 
     one = run(1)
     assert min(n_blocks) > 1  # every fold read several blocks
@@ -397,16 +426,17 @@ def test_apply_window_starts_no_actor(ray_session, tmp_path):
     assert alive() == before
     for e in lake.ledger.entries():
         m = e["metrics"]
-        assert set(m["stages"]) == {"stream_sec", "fold_sec"}
-        assert 0 <= m["stages"]["fold_sec"] <= m["window_sec"]
+        assert set(m["stages"]) == {"schema_sec", "stream_sec", "fold_sec", "write_sec"}
+        assert 0 <= m["stages"]["write_sec"] <= m["stages"]["fold_sec"] <= m["window_sec"]
         assert 0 <= m["stages"]["stream_sec"] <= m["window_sec"]
+        assert 0 <= m["stages"]["schema_sec"] <= m["window_sec"]
 
 
 def test_fold_window_retry_is_idempotent(ray_session, tmp_path, monkeypatch):
     """A fold task retried by Ray (its worker died mid-window) reruns on
     the same block refs: the rerun returns the same infos (bar its own
-    ``fold_sec`` timing) and rewrites byte-identical data files and
-    Bloom sidecars, and the window commits once."""
+    ``fold_sec`` and ``write_sec`` timings) and rewrites byte-identical
+    data files and Bloom sidecars, and the window commits once."""
     import ray as _ray
     import ray.data
 
@@ -439,15 +469,15 @@ def test_fold_window_retry_is_idempotent(ray_session, tmp_path, monkeypatch):
     monkeypatch.undo()
     assert runs and sum(len(first) for first, _ in runs) == len(entry["files"])
     files = {r["file"] for first, _ in runs for r in first}
-    assert files == set(entry["files"].values())
-    untimed = lambda rows: [{k: v for k, v in r.items() if k != "fold_sec"} for r in rows]
+    assert files == set(entry["files"])
+    untimed = lambda rows: [{k: v for k, v in r.items() if not k.endswith("_sec")} for r in rows]
     for first, disk in runs:
         for f, blob in disk.items():
             with open(os.path.join(lake.dir, f), "rb") as fh:
                 assert fh.read() == blob  # the retry rewrote the same bytes
         for r in untimed(first):
-            assert entry["files"][str(r["part"])] == r["file"]
-            assert entry["key_stats"][str(r["part"])] == r["key_stats"]
+            assert entry["files"][r["file"]] == {str(p): c["bytes"] for p, c in r["parts"].items()}
+            assert entry["key_stats"][r["file"]] == r["key_stats"]
     # the same refs folded twice more, by hand, return identical infos
     prepped = [
         _ray.put(lake_mod._prep_window_batch(
@@ -456,8 +486,9 @@ def test_fold_window_retry_is_idempotent(ray_session, tmp_path, monkeypatch):
     writer = {"lake_dir": lake.dir, "key_cols": ["repo", "path"],
               "zone_cols": ["repo", "path"]}
     tag = "000000000500-000000001500"
-    a = _ray.get(real.remote([0, 1, 2, 3], tag, writer, *prepped))
-    b = _ray.get(real.remote([0, 1, 2, 3], tag, writer, *prepped))
+    groups = lake._fold_groups([0, 1, 2, 3])  # the window's own groups
+    a, b = ([r for g in groups for r in _ray.get(real.remote(g, tag, writer, *prepped))]
+            for _ in range(2))
     assert untimed(a) == untimed(b)
     assert {r["file"] for r in a} == files
     # one window row for (500, 1500]; a re-apply is the committed skip
@@ -553,17 +584,18 @@ def test_compacting_window_retry_is_idempotent(ray_session, tmp_path, monkeypatc
     monkeypatch.undo()
     tag = "000000001000-000000001500"
     assert entry["replaces"] and all(
-        entry["files"][p] == f"part={int(p):05d}/base-{tag}.parquet" for p in entry["replaces"])
-    untimed = lambda rows: [{k: v for k, v in r.items() if k != "fold_sec"} for r in rows]
+        entry["files"][f"part={int(p):05d}/base-{tag}.parquet"] == {p: mock.ANY}
+        for p in entry["replaces"])
+    untimed = lambda rows: [{k: v for k, v in r.items() if not k.endswith("_sec")} for r in rows]
     for _, _, first, disk in runs:
         for f, blob in disk.items():
             with open(os.path.join(lake.dir, f), "rb") as fh:
                 assert fh.read() == blob  # the retry rewrote the same bytes
         for r in untimed(first):
-            p = str(r["part"])
-            assert entry["files"][p] == r["file"]
-            assert entry["key_stats"][p] == r["key_stats"]
-            assert entry["replaces"].get(p) == r.get("replaces")
+            assert entry["files"][r["file"]] == {str(p): c["bytes"] for p, c in r["parts"].items()}
+            assert entry["key_stats"][r["file"]] == r["key_stats"]
+            for p in r["parts"]:
+                assert entry["replaces"].get(str(p)) == r.get("replaces")
     # the same rows folded twice more, by hand, return identical infos
     # and leave the committed bytes as they were
     prepped = [
@@ -629,8 +661,9 @@ def test_compacting_window_accounting_matches_twin(ray_session, tmp_path):
         p: (d["rows"], d["tombstones"]) for p, d in rp["partitions"].items()
     }
     last = merged.ledger.window_metrics()[-1]
-    assert set(last["replaces"]) == set(last["files"]) == {"0", "1", "2", "3"}
-    for name in last["files"].values():
+    assert set(last["replaces"]) == {p for held in last["files"].values() for p in held} == {
+        "0", "1", "2", "3"}
+    for name in last["files"]:
         assert not _CHUNK_RE.search(name)
     # the merged lake's end-of-run pass finds nothing to fold
     assert merged.maintain(min_files=2, tombstone_watermark=3000)["compact"]["parts"] == {}
@@ -643,7 +676,7 @@ def test_compacting_window_accounting_matches_twin(ray_session, tmp_path):
                 ledger_bytes += e["metrics"]["bytes_written"]
                 assert e["metrics"]["bytes_written"] == sum(
                     pp["bytes"] for pp in e["metrics"]["per_partition"])
-                named.update(e["files"].values())
+                named.update(e["files"])
             elif e["kind"] == "compact":
                 for info in e["parts"].values():
                     for one in info if isinstance(info, list) else [info]:
@@ -1401,15 +1434,18 @@ def test_bloom_sidecar_bytes_pinned_on_fold_output(ray_session, tmp_path):
     folds and a compaction fold (duplicate keys within and across
     windows, tombstones kept) write exactly these filters; a change to
     the key hash or the Bloom sizing shows up here. The pins hash
-    ``(m, k, bits)``, not the file, and were taken from the ``.npz``
-    sidecars the earlier layout wrote for the same lake, so the raw
-    layout holds bit-identical filters."""
+    ``(m, k, bits)``, not the file. The compaction pins were taken from
+    the ``.npz`` sidecars the earlier layout wrote for the same lake, so
+    the raw layout holds bit-identical filters; the window pins are of
+    the one file each window writes for both partitions (one fold
+    group), whose filter covers both partitions' keys."""
     import glob
     import hashlib
 
     from jitsu_ray.sinks.lake import _read_key_bloom
 
     lake = LakeTable.create(str(tmp_path / "lake"), ["repo", "path"], 2)
+    lake._cpus = 2  # one fold group: each window writes one file for both partitions
     seq = 0
     for w in range(3):
         rows = []
@@ -1429,13 +1465,10 @@ def test_bloom_sidecar_bytes_pinned_on_fold_output(ray_session, tmp_path):
         )
     assert got == {
         "part=00000/base-00000004": "66d013196e3f1565",
-        "part=00000/delta-000000000000-000000000030": "a7733dc3118d94fb",
-        "part=00000/delta-000000000030-000000000060": "83203266c021a1e6",
-        "part=00000/delta-000000000060-000000000090": "fc5f9f611f2933d7",
+        "part=00000/delta-000000000000-000000000030": "aa0903999184c38e",
+        "part=00000/delta-000000000030-000000000060": "a78b53c02a98253e",
+        "part=00000/delta-000000000060-000000000090": "f5b3a4db323391ec",
         "part=00001/base-00000004": "83c57a8cda716633",
-        "part=00001/delta-000000000000-000000000030": "b67d6d12d02edb07",
-        "part=00001/delta-000000000030-000000000060": "9b01c342a3140b98",
-        "part=00001/delta-000000000060-000000000090": "5268713955e4eb36",
     }
 
 
@@ -1452,7 +1485,7 @@ def _views(st):
     """Every view a LedgerState serves, read off its fields (not its
     checkpoint serialization, which is under test too)."""
     return {"parts": st.parts, "splits": st.splits, "hi": st.hi, "zones": st.zones,
-            "pending": st.pending, "vacuumed": st.vacuumed}
+            "shares": st.shares, "pending": st.pending, "vacuumed": st.vacuumed}
 
 
 @contextlib.contextmanager
@@ -2839,7 +2872,8 @@ def _footer_keys(path: str) -> set[bytes]:
 
 def _assert_current_format(path: str, key_cols: list[str]) -> None:
     """One lake file in the current format: every column chunk zstd and
-    not dictionary-encoded, Parquet statistics on commit_seq alone, no
+    not dictionary-encoded, Parquet statistics on commit_seq and __part
+    alone, no
     ARROW:schema footer key, and a raw Bloom sidecar (header, then the
     bits) whose filter equals BloomFilter.build over the file's keys."""
     import numpy as np
@@ -2850,7 +2884,7 @@ def _assert_current_format(path: str, key_cols: list[str]) -> None:
 
     assert _codecs(path) == {"ZSTD"}, path
     assert _dict_cols(path) == set(), path
-    assert _stat_cols(path) == {"commit_seq"}, path
+    assert _stat_cols(path) == {"commit_seq", "__part"}, path
     assert b"ARROW:schema" not in _footer_keys(path), path
     want = BloomFilter.build(
         hash64_column(pq.read_table(path, columns=key_cols), key_cols).to_numpy()
@@ -2885,7 +2919,7 @@ def test_every_lake_write_path_is_zstd(ray_session, tmp_path):
         ]
         entry = lake.apply_window(make_ds(rows), seq, seq + n)
         seq += n
-        return list(entry["files"].values())
+        return list(entry["files"])
 
     written = {}
     written["window"] = [f for _ in range(4) for f in window(20)]
@@ -3015,7 +3049,7 @@ def test_mixed_codec_lake_reads_identically_and_compacts_to_zstd(ray_session, tm
     old, legacy_bloom = {}, []
     for e, fmt in zip(mixed.ledger.entries()[:4], formats):
         assert e["kind"] == "window"
-        for rel in e["files"].values():
+        for rel in e["files"]:
             path = os.path.join(mixed.dir, rel)
             tbl = pq.read_table(path, schema=target)
             pq.write_table(tbl, path, **fmt)
@@ -3382,9 +3416,12 @@ def test_only_the_lake_module_spells_a_sidecar_suffix():
 def test_lake_random_interleaving_matches_oracle(ray_session, tmp_path):
     """Property for the CORE lake: under any interleaving of normal
     windows, late force-committed windows (old bounds, old/tied seqs),
-    tombstone-retaining compactions (whole-partition AND size-tiered),
+    tombstone-retaining compactions (whole-partition, size-tiered, AND
+    partial ones whose ``min_files`` leaves cold partitions),
     ledger checkpoints, PARTITION SPLITS and vacuum
-    retention passes, the resolved state always equals a pure-Python
+    retention passes — with one or two fold groups, so window files are
+    shared across partitions — every file a live partition lists is on
+    disk, and the resolved state always equals a pure-Python
     LWW fold with the lake's tie rule (higher commit_seq wins; equal
     seqs -> later-arrived row wins), lookup routes every key to its
     refined partition, the ledger state advanced incrementally (and a
@@ -3420,6 +3457,7 @@ def test_lake_random_interleaving_matches_oracle(ray_session, tmp_path):
         lake = LakeTable.create(
             str(tmp_path / _uuid.uuid4().hex), ["repo", "path"], 3
         )
+        lake._cpus = data.draw(st.sampled_from([2, 4]))  # 1 or 2 fold groups
         events: list = []  # (seq, op, key) in arrival order
         ledger_log: list = []  # ("window", hi, [event idx]) | ("split",)
         seq = hi = 0
@@ -3427,12 +3465,14 @@ def test_lake_random_interleaving_matches_oracle(ray_session, tmp_path):
         for _ in range(data.draw(st.integers(3, 7))):
             act = data.draw(
                 st.sampled_from(
-                    ["window", "window", "late", "compact", "tiered",
+                    ["window", "window", "late", "compact", "tiered", "cold",
                      "split", "vacuum", "ckpt"]
                 )
             )
             if act == "compact":
                 lake.compact(min_files=1, tombstone_watermark=0)
+            elif act == "cold":
+                lake.compact(min_files=data.draw(st.integers(2, 4)))
             elif act == "tiered":
                 lake.compact(
                     min_files=2,
@@ -3475,6 +3515,8 @@ def test_lake_random_interleaving_matches_oracle(ray_session, tmp_path):
                 lo, hi = hi, seq
                 lake.apply_window(make_ds(rows), lo, hi)
                 ledger_log.append(("window", hi, idxs))
+            # vacuum never unlinks a file that a live partition lists
+            assert all(os.path.exists(f) for fs in lake.live_files().values() for f in fs)
             # content is f"v{seq}", so the winning seq pins the winning ROW
             assert {
                 k: int(v[2][1:]) for k, v in _state(lake).items()
@@ -3519,6 +3561,242 @@ def test_lake_random_interleaving_matches_oracle(ray_session, tmp_path):
             assert got == fold([events[i] for i in included])
 
     run()
+
+
+def _keys_by_part(num_parts: int, per_part: int) -> dict[int, list[tuple[str, str]]]:
+    """``per_part`` (repo, path) keys that route to each partition."""
+    tbl = pa.table({"repo": [f"r{i % 5}" for i in range(400)],
+                    "path": [f"f{i}.py" for i in range(400)]})
+    out: dict[int, list] = {p: [] for p in range(num_parts)}
+    for r, path, p in zip(tbl["repo"].to_pylist(), tbl["path"].to_pylist(),
+                          hash_mod_column(tbl, ["repo", "path"], num_parts).to_pylist()):
+        if len(out[p]) < per_part:
+            out[p].append((r, path))
+    return out
+
+
+def _shared_window_lake(tmp_path, name):
+    """A 4-partition lake with one fold group: window 1 writes ONE file
+    holding all four partitions' keys, windows 2-4 touch partition 0
+    only. Returns the lake, the shared file (relative) and the keys."""
+    lake = LakeTable.create(str(tmp_path / name), ["repo", "path"], 4)
+    lake._cpus = 2
+    keys = _keys_by_part(4, 5)
+    rows = [ev(i + 1, "insert", r, path, "c", "py", f"v{i + 1}")
+            for i, (r, path) in enumerate(k for p in range(4) for k in keys[p])]
+    [shared] = lake.apply_window(make_ds(rows), 0, 20)["files"]
+    seq = 20
+    for _ in range(3):
+        hot = [ev(seq + i + 1, "update", r, path, "c", "py", f"v{seq + i + 1}")
+               for i, (r, path) in enumerate(keys[0])]
+        lake.apply_window(make_ds(hot), seq, seq + 5)
+        seq += 5
+    assert {p: len(fs) for p, fs in lake.live_files().items()} == {0: 4, 1: 1, 2: 1, 3: 1}
+    assert all(os.path.join(lake.dir, shared) in fs for fs in lake.live_files().values())
+    return lake, shared
+
+
+def test_window_accounting_counts_shared_files_once(ray_session, tmp_path, monkeypatch):
+    """A window row names each file it wrote once. Its ``bytes_written``
+    equals the on-disk bytes of those distinct files, its partitions'
+    byte shares (``per_partition`` and the ``files`` listing) sum to
+    each file's size and to that figure, and ``ingest_report()`` agrees,
+    as do its live files and bytes. ``max_row_seq`` reads each distinct
+    live file's footer once. One fold group over 16 partitions: counting
+    a file once per partition would read ~16x too high."""
+    import ray.data
+
+    from jitsu_ray.sinks import lake as lake_mod
+    from jitsu_ray.testgen import gen_changelog
+
+    tbl = gen_changelog(n_events=3000, n_repos=10, seed=17)
+    lake = LakeTable.create(str(tmp_path / "lake"), ["repo", "path"], 16)
+    lake._cpus = 2
+    for lo in range(0, 3000, 1000):
+        lake.apply_window(ray.data.from_arrow(tbl.slice(lo, 1000)), lo, lo + 1000)
+    size = lambda f: os.path.getsize(os.path.join(lake.dir, f))
+    wins = lake.ledger.window_metrics()
+    for e in wins:
+        [(f, held)] = e["files"].items()  # one group: one file for all 16
+        assert len(held) == 16
+        m = e["metrics"]
+        assert m["bytes_written"] == size(f) == sum(held.values())
+        assert sorted(m["per_partition"], key=lambda c: c["part"]) == m["per_partition"]
+        assert {str(c["part"]): c["bytes"] for c in m["per_partition"]} == held
+        assert m["partitions"] == 16 and m["rows_written"] == pq.read_metadata(
+            os.path.join(lake.dir, f)).num_rows
+    rep = lake.ingest_report()
+    total = sum(size(f) for e in wins for f in e["files"])
+    assert rep["bytes_written"] == total == sum(d["bytes"] for d in rep["partitions"].values())
+    assert (rep["live_files"], rep["live_bytes"]) == (3, total)
+    real, reads = lake_mod.parquet_seq_bounds, []
+    monkeypatch.setattr(lake_mod, "parquet_seq_bounds", lambda f: reads.append(f) or real(f))
+    assert lake.max_row_seq() == max(tbl["commit_seq"].to_pylist())
+    assert sorted(reads) == sorted({f for fs in lake.live_files().values() for f in fs})
+    assert len(reads) == 3
+
+
+def test_cold_partition_does_not_keep_shared_file(ray_session, tmp_path):
+    """A window file shared by a hot partition and cold ones leaves the
+    disk at the next ``maintain``: the pass that folds it out of the hot
+    partition (``min_files`` reached) folds it out of the cold
+    partitions too, though they hold one file each. After a split drops
+    the file from one partition only, the next pass folds it out of the
+    rest even when no partition reaches ``min_files``. State holds
+    throughout."""
+    for name in ("hot", "split"):
+        lake, shared = _shared_window_lake(tmp_path, name)
+        before = read_rows(lake)
+        if name == "hot":
+            lake.maintain(min_files=3, keep_history=0)
+        else:
+            lake.split_partition(1, factor=2)
+            lake.vacuum(keep_history=0)
+            assert os.path.exists(os.path.join(lake.dir, shared))  # 0, 2 and 3 list it
+            lake.maintain(min_files=100, keep_history=0)
+        assert not os.path.exists(os.path.join(lake.dir, shared)), name
+        live = lake.live_files()
+        assert all(len(fs) == 1 for p, fs in live.items() if p != 0)
+        assert all(shared not in os.path.relpath(f, lake.dir) for fs in live.values() for f in fs)
+        assert read_rows(lake) == before
+        assert lake.maintain(min_files=100)["compact"]["parts"] == {}  # a fixed point
+
+
+def test_vacuum_keeps_file_a_live_partition_lists(ray_session, tmp_path):
+    """A window file that one partition drops (a split of it, or a
+    compacting window that touches it alone) while others still list it
+    stays on disk through ``vacuum(keep_history=0)``; reads, lookups and
+    the report still see its rows."""
+    for name in ("split", "compacting"):
+        lake, shared = _shared_window_lake(tmp_path, name)
+        before = read_rows(lake)
+        if name == "split":
+            lake.split_partition(0, factor=2)
+        else:
+            keys = _keys_by_part(4, 5)[0]
+            rows = [ev(100 + i, "update", r, path, "c", "py", f"v{100 + i}")
+                    for i, (r, path) in enumerate(keys)]
+            entry = lake.apply_window(make_ds(rows), 35, 200, compact=True)
+            assert set(entry["replaces"]) == {"0"}
+            for i, k in enumerate(keys):
+                before[k] = {**before[k], "commit_seq": 100 + i, "content": f"v{100 + i}"}
+        assert read_rows(lake) == before
+        assert lake.vacuum(keep_history=0)["removed"]
+        assert os.path.exists(os.path.join(lake.dir, shared))
+        st = lake.ledger.state()
+        assert set(st.shares[shared]) == {1, 2, 3}
+        assert read_rows(lake) == before
+        probe = [{"repo": r, "path": path} for r, path in _keys_by_part(4, 5)[2]]
+        assert len(lake.lookup(probe)) == 5
+        assert lake.ingest_report()["live_files"] == len(
+            {f for fs in lake.live_files().values() for f in fs})
+
+
+def test_row_groups_cut_at_partitions_and_row_cap(tmp_path, monkeypatch):
+    """``_write_lake_files`` cuts a many-partition table into row groups
+    at partition boundaries once a group holds ``_ROW_GROUP_BYTES``, and
+    any table, a one-partition base included, every ``_ROW_GROUP_ROWS``
+    rows: a base larger than the row cap is more than one row group."""
+    from jitsu_ray.sinks import lake as lake_mod
+
+    def groups(parts: list[int], name: str) -> list[tuple[int, int, int]]:
+        tbl = pa.table({
+            "repo": [f"r{i:04d}" for i in range(len(parts))],
+            "path": ["p"] * len(parts),
+            "commit_seq": pa.array(range(len(parts)), pa.int64()),
+            "op": ["insert"] * len(parts),
+            "__part": pa.array(parts, pa.int32()),
+        })
+        [info] = lake_mod._write_lake_files(
+            tbl, str(tmp_path), parts[0], name, ["repo", "path"], ["repo", "path"])
+        md = pq.read_metadata(os.path.join(tmp_path, info["file"]))
+        out = []
+        for i in range(md.num_row_groups):
+            rg = md.row_group(i)
+            st = rg.column(rg.num_columns - 1).statistics  # __part
+            out.append((rg.num_rows, st.min, st.max))
+        return out
+
+    three = [0] * 40 + [1] * 40 + [2] * 40
+    assert groups(three, "whole") == [(120, 0, 2)]  # under 2 MB: one group
+    monkeypatch.setattr(lake_mod, "_ROW_GROUP_BYTES", 1)
+    assert groups(three, "cut") == [(40, 0, 0), (40, 1, 1), (40, 2, 2)]
+    monkeypatch.setattr(lake_mod, "_ROW_GROUP_ROWS", 30)
+    assert [n for n, _, _ in groups(three, "capped")] == [30, 10, 30, 10, 30, 10]
+    assert [n for n, _, _ in groups([5] * 70, "base")] == [30, 30, 10]
+
+
+def test_zone_may_contain_matches_brute_force():
+    """The lookup zone test (sorted distinct values + ranks) agrees with
+    the direct rule on composite string/int keys with NULLs, at one key
+    and at many: a key matches iff each column lies within its bounds,
+    a NULL lies within none, and a None bound never prunes."""
+    import random
+
+    from jitsu_ray.sinks.lake import _zone_keys, _zone_may_contain
+
+    rnd = random.Random(5)
+
+    def inside(v, b):
+        return not b or b[0] is None or (v is not None and b[0] <= v <= b[1])
+
+    for n in (1, 3, 40, 300):
+        keys = pa.table({
+            "repo": [None if rnd.random() < 0.1 else f"r{rnd.randrange(50):02d}" for _ in range(n)],
+            "n": pa.array([None if rnd.random() < 0.1 else rnd.randrange(100) for _ in range(n)],
+                          pa.int64()),
+        })
+        zk = _zone_keys(keys)
+        for _ in range(60):
+            stats = {}
+            if rnd.random() < 0.9:
+                stats["repo"] = sorted(f"r{rnd.randrange(50):02d}" for _ in range(2))
+            if rnd.random() < 0.9:
+                stats["n"] = [None, None] if rnd.random() < 0.1 else sorted(
+                    rnd.randrange(100) for _ in range(2))
+            want = any(all(inside(k[c], stats.get(c)) for c in k) for k in keys.to_pylist())
+            assert _zone_may_contain(stats, zk) == want, (n, stats)
+
+
+def test_forced_folds_stay_byte_bounded(ray_session, tmp_path):
+    """Tiered compaction over shared window files with skewed partition
+    shares: partition ``a`` holds a few bytes of each file and folds all
+    of them, which forces partition ``b``, holding most of each file's
+    bytes, to fold them too. ``b``'s forced units fold in runs under
+    ``max_input_bytes`` (a lone unit on its own), never one over-budget
+    fold; only a tier-stall ``fallback`` pair may exceed it. The shared
+    files leave the disk and state holds."""
+    import random
+
+    rnd = random.Random(3)
+    lake = LakeTable.create(str(tmp_path / "lake"), ["repo", "path"], 2)
+    lake._cpus = 2  # one fold group: each window writes one file
+    keys = _keys_by_part(2, 60)
+    a, b = 0, 1
+    seq = 0
+    for n_b in (60, 55, 50, 45, 40):
+        rows = [ev(seq + 1, "insert", *keys[a][seq % 5], "c", "py", "x")]
+        rows += [ev(seq + 2 + i, "insert", r, path, "c", "py", _noisy(rnd))
+                 for i, (r, path) in enumerate(keys[b][:n_b])]
+        lake.apply_window(make_ds(rows), seq, seq + 1 + n_b)
+        seq += 1 + n_b
+    held_by = {f: dict(s) for f, s in lake.ledger.state().shares.items()}  # a copy
+    shares = {p: [held_by[os.path.relpath(f, lake.dir)][p] for f in fs]
+              for p, fs in lake.live_files().items()}
+    budget = 1.4 * max(shares[b])
+    assert sum(shares[a]) <= budget < min(x + y for x, y in zip(shares[b], shares[b][1:]))
+    before = read_rows(lake)
+    entry = lake.compact(max_input_bytes=budget)
+    folds = entry["parts"][str(b)]
+    assert isinstance(folds, list) and len(folds) >= 3
+    for info in folds:
+        held = sum(held_by[f][b] for f in info["replaces"])
+        assert info.get("fallback") or len(info["replaces"]) == 1 or held <= budget, info
+    assert read_rows(lake) == before
+    lake.vacuum(keep_history=0)
+    assert all(f.endswith(".parquet") and "base-" in f
+               for fs in lake.live_files().values() for f in fs)
+    assert read_rows(lake) == before
 
 
 def test_replica_resync_on_empty_lakes(ray_session, tmp_path):
@@ -3728,7 +4006,7 @@ def test_max_row_seq_reads_column_when_footer_lacks_stats(ray_session, tmp_path)
     lake.apply_window(make_ds([ev(1, "insert", "r1", "a", "c1", "py", "v1")]), 0, 2)
     lake.apply_window(make_ds([ev(100, "insert", "rX", "b", "c1", "py", "v")]), 2, 4)
     assert lake.max_row_seq() == 100
-    [planted] = lake.ledger.entries()[-1]["files"].values()
+    [planted] = lake.ledger.entries()[-1]["files"]
     path = os.path.join(lake.dir, planted)
     pq.write_table(pq.read_table(path), path, write_statistics=False)
     assert not _stat_cols(path)

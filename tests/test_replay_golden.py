@@ -601,7 +601,8 @@ def test_batch_replay_writes_last_window_as_compacted_base(ray_session, tmp_path
     entries = lake.ledger.entries()
     kinds = [e["kind"] for e in entries]
     assert "compact" not in kinds and kinds[-3:] == ["window", "checkpoint", "vacuum"]
-    assert set(entries[-3]["replaces"]) == set(entries[-3]["files"]) == {"0", "1", "2", "3"}
+    assert set(entries[-3]["replaces"]) == {
+        p for held in entries[-3]["files"].values() for p in held} == {"0", "1", "2", "3"}
 
     twin = LakeTable.create(str(tmp_path / "twin"), ["repo", "path"], 4)
     Replayer(log, twin, window_size=1000).run_streaming()

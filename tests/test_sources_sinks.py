@@ -1865,7 +1865,9 @@ def test_cli_maintain_subcommand(tmp_path):
     """`python -m jitsu_ray maintain` runs the full policy pass (split +
     clustered tiered compact + vacuum) against an on-disk lake from a
     fresh process, proving the operational surface end to end, and
-    reports the pass's write cost as ``bytes_written``."""
+    reports the pass's write cost as ``bytes_written``; ``report`` then
+    prints the live files and their bytes."""
+    import glob
     import json as _json
     import subprocess
     import sys
@@ -1908,3 +1910,13 @@ ray.shutdown()
     assert r.returncode == 0, r.stderr
     again = _json.loads(r.stdout.strip().splitlines()[-1])
     assert again["splits"] == [] and again["bytes_written"] == 0
+    # `report` counts the live files, each once, and their on-disk bytes;
+    # after the vacuum every data file on disk is live
+    r = subprocess.run([sys.executable, "-m", "jitsu_ray", "report", "--lake",
+                        str(tmp_path / "lake")], capture_output=True, text=True, cwd=root,
+                       timeout=300)
+    assert r.returncode == 0, r.stderr
+    rep = _json.loads(r.stdout.strip().splitlines()[-1])
+    on_disk = glob.glob(str(tmp_path / "lake" / "part=*" / "*.parquet"))
+    assert rep["live_files"] == len(on_disk) > 0
+    assert rep["live_bytes"] == sum(os.path.getsize(f) for f in on_disk)
