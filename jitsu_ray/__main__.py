@@ -258,8 +258,8 @@ def main(argv=None):
         )
         # the pass's write cost: every file its splits and folds wrote
         infos = [i for s in out["splits"] for fs in s["parts"].values() for i in fs]
-        for info in out["compact"].get("parts", {}).values():
-            infos.extend(info if isinstance(info, list) else [info])
+        for folds in out["compact"].get("parts", {}).values():
+            infos.extend(folds)
         print(
             json.dumps(
                 {

@@ -34,8 +34,9 @@ Design:
     silently diverges forever. A src window row newer than the
     recorded src position with ``hi <= frm`` triggers a full RE-SYNC.
   * **A swapped source.** The tag records the source lake's identity
-    (absolute path); a round that finds a different source re-syncs
-    instead of trusting positions recorded against another ledger.
+    (realpath and creation UUID); a round that finds a different source
+    re-syncs instead of trusting positions recorded against another
+    ledger.
   * **Foreign writes to the replica.** Any dst window row without the
     replication tag — regardless of where its ``hi`` lands — raises
     ``ValueError``: a direct write at-or-below the source's hi would
@@ -217,40 +218,6 @@ def where_sql(where) -> str:
     return " AND ".join(parts) if parts else "TRUE"
 
 
-def _legacy_filter_identity(where, columns) -> str | None:
-    """The PRE-round-5 canonical form of the filter identity: conjuncts
-    in caller order, in-list values sorted but NOT deduped. Used only
-    to ACCEPT stored round tags written before the canonicalization
-    change; never recorded. Assumes ``where`` already passed
-    _norm_where's validation in _plan_target."""
-    if where is None and columns is None:
-        return None
-    norm = None
-    if where is not None:
-        norm = []
-        for c in where:
-            if len(c) == 2:
-                col, op = c
-                val = None
-            else:
-                col, op, val = c
-            op = " ".join(str(op).lower().split())
-            if op in ("in", "not in"):
-                norm.append([str(col), op, sorted(list(val), key=repr)])
-            else:
-                norm.append([str(col), op, val])
-        norm = norm or None
-    if norm is None and columns is None:
-        return None
-    return json.dumps(
-        {
-            "where": norm,
-            "columns": list(columns) if columns is not None else None,
-        },
-        sort_keys=True,
-    )
-
-
 def _visible_cols(lake) -> list[str]:
     from ..sinks.lake import OP_COL, PART_COL, SEQ_COL
 
@@ -304,7 +271,7 @@ def _scan_dst(dst) -> tuple[dict | None, list[int]]:
             foreign.append(e["_seq"])
         elif prev is None:
             prev = rep
-            floor = int(rep.get("dst_lseq", 0))
+            floor = int(rep["dst_lseq"])
     return prev, foreign
 
 
@@ -381,12 +348,9 @@ def replicate_many(src, targets: list[dict]) -> list[dict]:
     plans = []
     seen_dsts: dict[str, int] = {}
     for i, t in enumerate(targets):
-        # creation UUID first (realpath misses bind-mount aliases —
-        # the same reason the swapped-source check records lake_id);
-        # realpath only for legacy lakes without one
-        did = getattr(t["dst"], "lake_id", None) or _os.path.realpath(
-            t["dst"].dir
-        )
+        # creation UUID, not realpath: realpath misses bind-mount
+        # aliases (the same reason the swapped-source check records it)
+        did = t["dst"].lake_id
         if did in seen_dsts:
             # the second apply at the shared watermark would be silently
             # swallowed by the idempotent window skip (its filter never
@@ -500,20 +464,12 @@ def _plan_target(src, dst, resync, where, columns, src_lseq, to, src_id) -> dict
         )
     prev, foreign = _scan_dst(dst)
     if foreign and not resync:
-        legacy = (
-            " (a replica maintained by a pre-position-tagging version "
-            "shows ALL its windows here — one resync=True round adopts "
-            "tagging and resumes incrementally)"
-            if prev is None
-            else ""
-        )
         raise ValueError(
             f"replica received {len(foreign)} direct (non-replication) "
             f"window write(s) at ledger row(s) {sorted(foreign)[:5]} — "
             f"their rows were never vetted against the source and the "
             f"watermark may have skipped unreplicated source windows; "
-            f"pass resync=True to heal the replica from source "
-            f"state{legacy}"
+            f"pass resync=True to heal the replica from source state"
         )
     # src_id is realpath, not abspath: two path aliases for one lake
     # (symlink, bind mount) must not trip the swapped-source check —
@@ -535,39 +491,31 @@ def _plan_target(src, dst, resync, where, columns, src_lseq, to, src_id) -> dict
                 f"so resync=True cannot heal this replica: recreate it"
             )
     need_resync = bool(resync or foreign)
-    if (
-        not need_resync
-        and prev is not None
-        and prev.get("filter") != filt
-        and prev.get("filter") != _legacy_filter_identity(where, columns)
-    ):
+    if not need_resync and prev is not None and prev["filter"] != filt:
         # the replica was maintained under a DIFFERENT filter/projection:
         # rows the old filter excluded have already had their diffs pass
         # by, so incremental catch-up under the new filter would silently
-        # miss them — rebuild from source state. A stored tag in the
-        # PRE-round-5 canonical form (conjuncts in caller order,
-        # in-lists undeduped) of the SAME spec is accepted — upgrading
-        # must not force one spurious full resync per replica — while
-        # new tags always record the round-5 form.
+        # miss them — rebuild from source state
         need_resync = True
     if not need_resync and prev is not None:
         if (
-            prev.get("src") not in (None, src_id)
-            or prev.get("src_uid") not in (None, getattr(src, "lake_id", None))
-            or src_lseq < int(prev.get("src_lseq", 0))
+            prev["src"] != src_id
+            or prev["src_uid"] != src.lake_id
+            or src_lseq < int(prev["src_lseq"])
         ):
             # the source lake was SWAPPED — a different path, a different
             # creation UUID at the SAME path (deleted-and-recreated: path
             # identity matches but the fresh ledger's seqs can collide
             # with the recorded position, so every late-window scan
             # breaks immediately and the replica noops while diverging),
-            # or a ledger SHORTER than the recorded position (recreated
-            # legacy source without a UUID). Recorded positions are
-            # meaningless against another ledger — re-sync from scratch.
+            # or a ledger SHORTER than the recorded position (a copy
+            # restored from before that round keeps its UUID). Recorded
+            # positions are meaningless against another ledger — re-sync
+            # from scratch.
             need_resync = True
         else:
             need_resync = _src_has_late_window(
-                src, int(prev.get("src_lseq", 0)), frm
+                src, int(prev["src_lseq"]), frm
             )
     mode = "noop" if (frm == to and not need_resync) else (
         "resync" if need_resync else "incremental"
@@ -582,7 +530,7 @@ def _plan_target(src, dst, resync, where, columns, src_lseq, to, src_id) -> dict
         "tag": {
             "replication": {
                 "src": src_id,
-                "src_uid": getattr(src, "lake_id", None),
+                "src_uid": src.lake_id,
                 "src_lseq": src_lseq,
                 "dst_lseq": dst_lseq,
                 "filter": filt,

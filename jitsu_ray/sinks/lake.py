@@ -11,7 +11,7 @@ that row is a delete. A later re-insert (higher seq) resurrects the key.
 Physical design (LSM-ish, append-only):
 
     lake_dir/
-      _meta.json                    # key cols, partition count, hash algo
+      _meta.json                    # format, key cols, partition count, hash algo
       _schema/v000001.json          # logical payload schema versions
       _ledger/00000001.json ...     # commit log (state/ledger.py)
       part=00007/delta-<lo>-<hi>.parquet   # a window's fold group (lowest part 7)
@@ -189,13 +189,10 @@ def resolve_arrow(tbl: pa.Table, key_cols: list[str]) -> pa.Table:
 
 # Key Bloom sidecar ``<file>.parquet.bloom``: a 16-byte header (magic
 # with the format version, ``m`` u64, ``k`` u32, little-endian), then the
-# ``ceil(m / 8)`` filter bytes. Older lakes have ``.bloom.npz`` sidecars
-# (~740 B of zip and .npy framing around ~60 B of bits on a small delta):
-# nothing reads them, so their files fail open until compaction rewrites
-# them. ``vacuum`` deletes a data file with every suffix here.
+# ``ceil(m / 8)`` filter bytes. ``vacuum`` deletes a data file with every
+# suffix here.
 _BLOOM_SUFFIX = ".bloom"
-_LEGACY_BLOOM_SUFFIX = ".bloom.npz"
-_LAKE_FILE_SUFFIXES = ("", _BLOOM_SUFFIX, _LEGACY_BLOOM_SUFFIX)
+_LAKE_FILE_SUFFIXES = ("", _BLOOM_SUFFIX)
 _BLOOM_HEADER = struct.Struct("<4sQI")
 _BLOOM_MAGIC = b"JRB\x01"
 
@@ -859,7 +856,14 @@ def _zone_may_contain(stats: dict, zone_keys: tuple[int, dict]) -> bool:
 
 def _key_types(meta: dict) -> dict[str, DataType]:
     """The key types pinned in a ``_meta.json`` document."""
-    return {k: DataType[v] for k, v in meta.get("key_types", {}).items()}
+    return {k: DataType[v] for k, v in meta["key_types"].items()}
+
+
+# The on-disk format ``create`` records in ``_meta.json``: the shapes of
+# its meta, ledger rows and sidecars. A lake of any other format is
+# refused at open, so no reader carries an older shape; a lake is
+# derived state, rebuilt by replaying its changelog.
+LAKE_FORMAT = 1
 
 
 class LakeTable:
@@ -868,28 +872,35 @@ class LakeTable:
 
         self.dir = lake_dir
         meta = self._read_meta()
+        if meta.get("format") != LAKE_FORMAT:
+            raise RuntimeError(
+                f"lake {lake_dir} has format {meta.get('format')!r}, this "
+                f"build reads format {LAKE_FORMAT} only: replay the "
+                f"changelog into a fresh lake (python -m jitsu_ray replay), "
+                f"or recreate a replica and replicate into it"
+            )
         # a lake written under a different partition hash (or a polars
         # whose xxhash64 drifted) must not be opened: rows would be
         # routed to the wrong partition and LWW resolution would break
-        if meta.get("hash_algo", HASH_ALGO) != HASH_ALGO:
+        if meta["hash_algo"] != HASH_ALGO:
             raise RuntimeError(
                 f"lake {lake_dir} was written with hash_algo="
-                f"{meta.get('hash_algo')!r}, this build uses {HASH_ALGO!r}"
+                f"{meta['hash_algo']!r}, this build uses {HASH_ALGO!r}"
             )
         hash_self_test()
         self.key_cols: list[str] = meta["key_cols"]
         # physical key-column types, frozen at creation / first window
         # (reference: server/adapters/table.go:13-23 — a Table preserves
         # its columns' physical types; keys are never retyped). Stored as
-        # logical-lattice names; absent (legacy lakes) => STRING. Frozen
+        # logical-lattice names; an unpinned key reads as STRING. Frozen
         # because the partition hash stringifies key values — retyping a
         # key (int 5 -> float 5.0) would re-route rows mid-table.
         self.key_types: dict[str, DataType] = _key_types(meta)
         self.num_partitions: int = meta["num_partitions"]
-        self.stats_cols: list[str] = list(meta.get("stats_cols", []))
-        # creation UUID (None on legacy lakes created before it existed);
-        # replication records it so a same-path recreated source is caught
-        self.lake_id: str | None = meta.get("lake_id")
+        self.stats_cols: list[str] = meta["stats_cols"]
+        # creation UUID: replication records it so a same-path recreated
+        # source is caught
+        self.lake_id: str = meta["lake_id"]
         self.schema_dir = os.path.join(lake_dir, "_schema")
         self.ledger = Ledger(os.path.join(lake_dir, "_ledger"))
         self.schema = LakeSchema.load(self.schema_dir)
@@ -944,6 +955,7 @@ class LakeTable:
             with open(meta_path, "w") as f:
                 json.dump(
                     {
+                        "format": LAKE_FORMAT,
                         "key_cols": list(key_cols),
                         "key_types": kt,
                         "num_partitions": num_partitions,
@@ -1016,10 +1028,11 @@ class LakeTable:
         reproduces it.
 
         A key column pins the first known (not all-null) type a window
-        carries for it. A LEGACY lake (created before key_types existed)
-        that already holds committed windows stored its keys
-        stringified, so its keys pin STRING, never the incoming window's
-        type, or full_arrow_schema() would conflict with its files."""
+        carries for it. A key still unpinned once the lake holds
+        committed windows (its first windows carried it all-null, so
+        their files hold it with the STRING default) pins STRING, never
+        the incoming window's type, or full_arrow_schema() would
+        conflict with those files."""
         from ..util import acquire_pid_lock, release_pid_lock
 
         observed = observed_payload(in_schema, self.system_cols)
@@ -1274,10 +1287,8 @@ class LakeTable:
         return live
 
     def _sizes(self, st: LedgerState, p: int, files: list[str]) -> list[int]:
-        """Partition ``p``'s byte share of each of its ``files`` in
-        ``st`` (a file's size where its ledger row recorded none)."""
-        shares = [st.shares.get(os.path.relpath(f, self.dir), {}).get(p) for f in files]
-        return [os.path.getsize(f) if b is None else b for f, b in zip(files, shares)]
+        """Partition ``p``'s byte share of each of its ``files`` in ``st``."""
+        return [st.shares[os.path.relpath(f, self.dir)][p] for f in files]
 
     def max_row_seq(self) -> int:
         """Max ROW-level commit_seq across live files (tombstones
@@ -1441,9 +1452,8 @@ class LakeTable:
 
     def _missing_files_error(self, tag: str, missing: list[str]) -> FileNotFoundError:
         """Build the precise time-travel error: name the ledger VACUUM
-        row (if any) that removed the needed files. Without one, the
-        files were deleted by older code (whose compaction unlinked what
-        it replaced) or outside any vacuum."""
+        row (if any) that removed the needed files. Without one, they
+        were deleted outside any vacuum."""
         rels = {os.path.relpath(f, self.dir) for f in missing}
         culprit = None
         for e in self.ledger.iter_entries_desc():
@@ -1459,8 +1469,7 @@ class LakeTable:
             )
         return FileNotFoundError(
             f"{tag} history is missing files that no vacuum ledger row "
-            "removed (deleted by an older compaction that unlinked "
-            f"replaced files, or outside vacuum); missing: {sorted(rels)[:3]}"
+            f"removed (deleted outside vacuum); missing: {sorted(rels)[:3]}"
         )
 
     def lookup(
@@ -1806,8 +1815,7 @@ class LakeTable:
         folded = {f for tiers in plan.values() for _, grp, _ in tiers for u in grp for f in u}
         forced = {f for f in folded if len(st.shares[rel[f]]) > 1} | {
             f for f, r in rel.items()
-            if None not in st.shares[r].values()
-            and sum(st.shares[r].values()) < os.path.getsize(f)
+            if sum(st.shares[r].values()) < os.path.getsize(f)
         }
         for p, units in sorted(units_of.items()):
             mine = {f for _, grp, _ in plan.get(p, []) for u in grp for f in u}
@@ -1842,11 +1850,7 @@ class LakeTable:
         by_part: dict[int, list[dict]] = {}
         for (_, p, *_), infos in zip(folds, itertools.chain.from_iterable(done)):
             by_part.setdefault(p, []).extend(infos)
-        # single-fold partitions keep the legacy single-dict shape
-        entry = {
-            "kind": "compact",
-            "parts": {str(p): fl[0] if len(fl) == 1 else fl for p, fl in by_part.items()},
-        }
+        entry = {"kind": "compact", "parts": {str(p): fl for p, fl in by_part.items()}}
         self.ledger.append(entry)
         # fold the ledger so the next apply/read replays O(rows since
         # here), not O(all windows) — long-running streaming lakes
@@ -2055,8 +2059,7 @@ class LakeTable:
         step of the reference's uploader
         (server/logfiles/uploader.go:138-145) done as policy. This is
         the lake's ONLY delete path for data files and their Bloom
-        sidecars, legacy ``.bloom.npz`` ones included: compaction and
-        splits just commit ledger rows.
+        sidecars: compaction and splits just commit ledger rows.
 
         ``keep_history=N`` is the GRACE WINDOW in ledger rows: any
         ``as_of`` whose bounded replay only needs files replaced within

@@ -12,9 +12,11 @@ committed window they must never overwrite — and converge by LWW state,
 not path identity.
 
 A window row names each file once with every partition's byte share
-(``files: {file: {part: bytes}}``, summing to the file's size); older
-rows (``{part: file}``) still read. A file stays live while any
-partition lists it; the last to drop it hands it to vacuum.
+(``files: {file: {part: bytes}}``, summing to the file's size). A file
+stays live while any partition lists it; the last to drop it hands it
+to vacuum. Rows hold only the shapes of the lake's current format
+(``LAKE_FORMAT`` in ``sinks/lake.py``): a lake of another format is
+refused at open, so no reader here handles an older row shape.
 
 A window row may retire files too. A COMPACTING window
 (``LakeTable.apply_window(compact=True)``, batch replay's last window)
@@ -99,9 +101,7 @@ class LedgerState:
         self.splits: list[tuple[int, int, int]] = []  # (parent, modulus, factor)
         self.hi = 0
         self.zones: dict[str, dict] = {}  # live file -> key/stats zone map
-        # live file -> {partition listing it: its byte share, or None
-        # when the row that wrote it recorded none}
-        self.shares: dict[str, dict[int, int | None]] = {}
+        self.shares: dict[str, dict[int, int]] = {}  # live file -> {part: byte share}
         self.pending: dict[str, int] = {}  # replaced file -> replacing seq
         self.vacuumed: set[str] = set()  # the newest vacuum row's files
         self._skipped = False  # bounded: a window above the bound was excluded
@@ -116,9 +116,7 @@ class LedgerState:
             return
         kind = e["kind"]
         if kind == "checkpoint":
-            # rows written before checkpoints carried the whole state
-            # (no "zones") are skipped: the rows before them still count
-            if self.as_of_hi is None and "zones" in e:
+            if self.as_of_hi is None:
                 self._load(e)
             return
         if kind == "vacuum":
@@ -139,10 +137,6 @@ class LedgerState:
         if kind == "window":
             self.hi = max(self.hi, int(e["hi"]))
             files, zones = e.get("files", {}), e.get("key_stats", {})
-            if files and isinstance(next(iter(files.values())), str):
-                # a row before shared files: {part: file}, zone maps by part
-                zones = {f: zones.get(p) for p, f in files.items()}
-                files = {f: {p: None} for p, f in files.items()}
             replaces = e.get("replaces", {})
             for f, held in files.items():
                 for p, share in held.items():
@@ -152,10 +146,8 @@ class LedgerState:
                     else:
                         self._add(int(p), f, zones.get(f), share)
         elif kind == "compact":
-            for p, info in e["parts"].items():
-                # tiered compactions record a LIST of folds per
-                # partition; older rows a single dict
-                for one in info if isinstance(info, list) else [info]:
+            for p, folds in e["parts"].items():  # a list of folds each
+                for one in folds:
                     self._fold(int(p), one)
         elif kind == "split":
             # drop the parent's folded files, then append each child's
@@ -167,15 +159,18 @@ class LedgerState:
             self._retire(parent, e["replaces"])
             for c, infos in e["parts"].items():
                 for one in infos:
-                    self._add(int(c), one["file"], one.get("key_stats"), one.get("bytes"))
+                    self._add(int(c), one["file"], one.get("key_stats"), one["bytes"])
             self.splits.append((parent, int(e["modulus"]), int(e["factor"])))
 
-    def _add(self, p: int, f: str, zone: dict | None, share: int | None) -> None:
+    def _add(self, p: int, f: str, zone: dict | None, share: int) -> None:
         if zone:
             self.zones[f] = zone
         held = self.shares.setdefault(f, {})
-        if p not in held:  # older forced re-applies committed one
-            held[p] = share  # deterministic path twice
+        # two handles racing one normal window both pass its ``hi``
+        # check and commit rows naming one deterministic path: the
+        # second row lists nothing new
+        if p not in held:
+            held[p] = share
             self.parts.setdefault(p, []).append(f)
 
     def _set(self, p: int, files: list[str]) -> None:
@@ -211,9 +206,9 @@ class LedgerState:
         would leapfrog newer tiers/deltas and flip equal-seq ties back
         to pre-repair values."""
         replaced = set(info["replaces"])
-        new = info.get("file")
+        new = info["file"]
         out: list[str] = []
-        inserted = not new
+        inserted = False
         for f in self.parts.get(p, []):
             if f not in replaced:
                 out.append(f)
@@ -225,18 +220,13 @@ class LedgerState:
             out.insert(out.index(anchor) + 1 if anchor in out else len(out), new)
         self._set(p, out)
         self._retire(p, info["replaces"])
-        if new:
-            self.shares.setdefault(new, {})[p] = info.get("bytes")
-            if info.get("key_stats"):
-                self.zones[new] = info["key_stats"]
+        self.shares.setdefault(new, {})[p] = info["bytes"]
+        if info.get("key_stats"):
+            self.zones[new] = info["key_stats"]
 
     def _load(self, e: dict) -> None:
         self.parts = {int(p): list(fs) for p, fs in e["parts"].items() if fs}
-        saved = e.get("shares", {})  # absent from checkpoints before shares
-        self.shares = {}
-        for p, fs in self.parts.items():
-            for f in fs:
-                self.shares.setdefault(f, {})[p] = saved.get(f, {}).get(str(p))
+        self.shares = {f: {int(p): b for p, b in held.items()} for f, held in e["shares"].items()}
         self.splits = [tuple(int(x) for x in s) for s in e["splits"]]
         self.hi = int(e["hi"])
         self.zones = dict(e["zones"])
@@ -409,7 +399,7 @@ class Ledger:
             new = []
             for e in self.iter_entries_desc(above=st.seq):
                 new.append(e)
-                if e["kind"] == "checkpoint" and "zones" in e:
+                if e["kind"] == "checkpoint":
                     break  # it holds every older row
             for e in reversed(new):
                 st.apply(e)

@@ -191,22 +191,45 @@ def test_skew_spread_and_equivalence(ray_session, tmp_path):
 
 
 def test_open_rejects_foreign_hash_algo(tmp_path):
+    """A lake whose ``_meta.json`` names another partition hash, or
+    another on-disk format than this build's (none at all included),
+    is refused by every way in: open, create on its directory, and a
+    replication round into it."""
     import json
 
-    from jitsu_ray.sinks.lake import LakeTable
+    from jitsu_ray.pipelines.replicate import replicate
+    from jitsu_ray.sinks.lake import LAKE_FORMAT, LakeTable
 
     lake = LakeTable.create(str(tmp_path / "lake"), ["k"], 4)
     meta_path = str(tmp_path / "lake" / "_meta.json")
     with open(meta_path) as f:
         meta = json.load(f)
     assert meta["hash_algo"] == "polars-xxhash64-seed42"
+    assert meta["format"] == LAKE_FORMAT
     meta["hash_algo"] = "some-other-hash-v2"
     with open(meta_path, "w") as f:
         json.dump(meta, f)
-    import pytest as _pytest
-
-    with _pytest.raises(RuntimeError, match="hash_algo"):
+    with pytest.raises(RuntimeError, match="hash_algo"):
         LakeTable.open(str(tmp_path / "lake"))
+
+    src = LakeTable.create(str(tmp_path / "src"), ["k"], 4)
+    for i, fmt in enumerate([None, LAKE_FORMAT + 1]):
+        path = str(tmp_path / f"old{i}")
+        LakeTable.create(path, ["k"], 4)
+        with open(os.path.join(path, "_meta.json")) as f:
+            meta = json.load(f)
+        meta.pop("format")
+        if fmt is not None:
+            meta["format"] = fmt
+        with open(os.path.join(path, "_meta.json"), "w") as f:
+            json.dump(meta, f)
+        want = f"format {fmt!r}, this build reads format {LAKE_FORMAT} only"
+        with pytest.raises(RuntimeError, match=want):
+            LakeTable.open(path)
+        with pytest.raises(RuntimeError, match=want):
+            LakeTable.create(path, ["k"], 4)
+        with pytest.raises(RuntimeError, match=want):
+            replicate(src, LakeTable.open(path))
 
 
 def test_hash_self_test_known_answers():
@@ -678,14 +701,14 @@ def test_compacting_window_accounting_matches_twin(ray_session, tmp_path):
                     pp["bytes"] for pp in e["metrics"]["per_partition"])
                 named.update(e["files"])
             elif e["kind"] == "compact":
-                for info in e["parts"].values():
-                    for one in info if isinstance(info, list) else [info]:
+                for folds in e["parts"].values():
+                    for one in folds:
                         ledger_bytes += one["bytes"]
                         named.add(one["file"])
         assert ledger_bytes == sum(os.path.getsize(os.path.join(lake.dir, f)) for f in named)
     assert rm["bytes_written"] < rp["bytes_written"] + sum(
         one["bytes"] for e in plain.ledger.entries() if e["kind"] == "compact"
-        for one in e["parts"].values())
+        for folds in e["parts"].values() for one in folds)
     for lake in (merged, plain):
         lake.vacuum(keep_history=0)
     assert read_rows(merged) == read_rows(plain)
@@ -813,49 +836,35 @@ def test_delete_where_on_int64_keys(ray_session, tmp_path):
     assert out == [1, 3]
 
 
-def test_legacy_lake_pins_string_keys(ray_session, tmp_path):
-    # round-3 review: a lake created before key_types existed already
-    # stores stringified keys; opening it with typed input must pin
-    # STRING, not the incoming window's type
+def test_null_first_key_pins_string_keys(ray_session, tmp_path):
+    """A key column that the lake's first committed window carries
+    all-null (``pa.null()``) stays unpinned, and that window's file
+    holds it with the STRING default. A later typed window then pins
+    STRING, not its own type, so full_arrow_schema() still matches the
+    committed file and both rows read back."""
     import json
 
-    import ray.data
+    lake = LakeTable.create(str(tmp_path / "lake"), ["event_id"], 4)
 
-    lake = LakeTable.create(str(tmp_path / "legacy"), ["event_id"], 4)
-    meta_path = str(tmp_path / "legacy" / "_meta.json")
-    with open(meta_path) as f:
-        meta = json.load(f)
-    del meta["key_types"]  # simulate a pre-round-3 lake
-    with open(meta_path, "w") as f:
-        json.dump(meta, f)
-
-    def win(seqs, ids, vals):
-        return ray.data.from_arrow(
-            pa.table(
-                {
-                    "commit_seq": pa.array(seqs, pa.int64()),
-                    "op": pa.array(["insert"] * len(seqs), pa.string()),
-                    "event_id": pa.array(ids, pa.int64()),
-                    "v": pa.array(vals, pa.string()),
-                }
-            )
+    def win(seqs, ids, vals, key_type):
+        return pa.table(
+            {
+                "commit_seq": pa.array(seqs, pa.int64()),
+                "op": pa.array(["insert"] * len(seqs), pa.string()),
+                "event_id": pa.array(ids, key_type),
+                "v": pa.array(vals, pa.string()),
+            }
         )
 
-    legacy = LakeTable.open(str(tmp_path / "legacy"))
-    legacy.apply_window(win([1], [5], ["a"]), 0, 1)  # no data yet: int64 pinned is fine
-    # now simulate the true legacy case: committed data, key_types lost
-    with open(meta_path) as f:
-        meta = json.load(f)
-    del meta["key_types"]
-    with open(meta_path, "w") as f:
-        json.dump(meta, f)
-    reopened = LakeTable.open(str(tmp_path / "legacy"))
-    reopened.apply_window(win([2], [6], ["b"]), 1, 2)
-    # committed (stringified-by-pre-round-3-rules) files must stay readable:
-    # keys pinned STRING, both rows come back
+    lake.apply_window(win([1], [None], ["a"], pa.null()), 0, 1)
+    assert lake.key_types == {}  # an all-null key pins nothing
+    reopened = LakeTable.open(lake.dir)
+    reopened.apply_window(win([2], [6], ["b"], pa.int64()), 1, 2)
+    with open(os.path.join(lake.dir, "_meta.json")) as f:
+        assert json.load(f)["key_types"] == {"event_id": "STRING"}
     assert reopened.full_arrow_schema().field("event_id").type == pa.large_string()
     rows = {r["event_id"]: r["v"] for r in reopened.read().take_all()}
-    assert len(rows) == 2
+    assert rows == {None: "a", "6": "b"}
 
 
 def test_time_travel_read(ray_session, tmp_path):
@@ -933,7 +942,10 @@ def test_ledger_two_instances_cursor_equals_full_replay(tmp_path, seed):
     collides and it must advance over the other's rows first; after
     every row, each instance's incrementally advanced state, and a fresh
     reader's (which starts from the newest checkpoint), equal a full
-    replay of the history."""
+    replay of the history. A window lists some of its files under
+    several partitions, so compactions and splits retire a shared file
+    one partition at a time, and vacuum removes it only once no
+    partition lists it."""
     import random
 
     from jitsu_ray.sinks.lake import active_moduli
@@ -947,6 +959,8 @@ def test_ledger_two_instances_cursor_equals_full_replay(tmp_path, seed):
 
     leds = [Ledger(d), Ledger(d)]
     n = 0
+    shared: set[str] = set()  # files a window listed under several partitions
+    vacuumed_shared: set[str] = set()
 
     def new_file(p):
         nonlocal n
@@ -964,9 +978,14 @@ def test_ledger_two_instances_cursor_equals_full_replay(tmp_path, seed):
             # built from the possibly stale cursor: the claim may collide
             act_parts = sorted(active(led._state))
             ps = rnd.sample(act_parts, rnd.randint(1, len(act_parts)))
-            files = {str(p): new_file(p) for p in ps}
+            files = {}  # one file per fold group, under its lowest partition
+            while ps:
+                k = rnd.randint(1, len(ps))
+                grp, ps = sorted(ps[:k]), ps[k:]
+                files[new_file(grp[0])] = {str(p): rnd.randint(1, 999) for p in grp}
+            shared |= {f for f, held in files.items() if len(held) > 1}
             led.append({"kind": "window", "lo": step, "hi": step + 1, "files": files,
-                        "key_stats": {p: zone() for p in files}})
+                        "key_stats": {f: zone() for f in files}})
         elif act == "compact":
             st = led.state()
             parts = {}
@@ -974,7 +993,7 @@ def test_ledger_two_instances_cursor_equals_full_replay(tmp_path, seed):
                 if len(fs) >= 2:
                     k = rnd.randint(2, len(fs))
                     parts[str(p)] = [{"file": new_file(p), "replaces": fs[:k],
-                                      "key_stats": zone()}]
+                                      "key_stats": zone(), "bytes": rnd.randint(1, 999)}]
             led.append({"kind": "compact", "parts": parts})
         elif act == "split":
             st = led.state()
@@ -984,13 +1003,15 @@ def test_ledger_two_instances_cursor_equals_full_replay(tmp_path, seed):
             kids = [parent + j * m for j in range(2)]
             led.append({"kind": "split", "parent": parent, "modulus": m, "factor": 2,
                         "children": kids, "replaces": list(st.parts.get(parent, [])),
-                        "parts": {str(c): [{"file": new_file(c), "key_stats": zone()}]
+                        "parts": {str(c): [{"file": new_file(c), "key_stats": zone(),
+                                            "bytes": rnd.randint(1, 999)}]
                                   for c in kids}})
         elif act == "vacuum":
             st = led.state()
             gone = [f for f, s in st.pending.items() if s <= st.seq - rnd.randint(0, 3)]
             if gone:
                 led.append({"kind": "vacuum", "removed": gone})
+                vacuumed_shared |= shared & set(gone)
         else:
             led.checkpoint()
         # the idle instance is checked (and so advanced) only sometimes,
@@ -1003,6 +1024,7 @@ def test_ledger_two_instances_cursor_equals_full_replay(tmp_path, seed):
     ents = Ledger(d).entries()
     assert {e["kind"] for e in ents} == {"window", "compact", "split", "vacuum", "checkpoint"}
     assert [e["_seq"] for e in ents] == list(range(1, len(ents) + 1))  # no gaps
+    assert vacuumed_shared, seed  # a shared file was retired and vacuumed
 
 
 def test_ledger_concurrent_writers_with_checkpoints(tmp_path):
@@ -1020,7 +1042,7 @@ def test_ledger_concurrent_writers_with_checkpoints(tmp_path):
         led = Ledger(d)
         for i in range(20):
             led.append({"kind": "window", "lo": i, "hi": i + 1,
-                        "files": {str(tag): f"part={tag:05d}/w{tag}-{i}.parquet"}})
+                        "files": {f"part={tag:05d}/w{tag}-{i}.parquet": {str(tag): 100}}})
             if i % 5 == 4:
                 led.checkpoint()
         return led
@@ -1090,6 +1112,34 @@ def test_concurrent_apply_window_two_writers(ray_session, tmp_path):
     assert set(read_rows(lake)) == {("r", "p1"), ("r", "p2")}
     assert len(lake.ledger.window_metrics()) == 2
     assert lake.key_types["repo"].name == "STRING"
+
+
+def test_window_row_committed_twice_lists_its_file_once(ray_session, tmp_path):
+    """Two handles applying one normal window can both pass its ``hi``
+    check and commit two rows naming the same deterministic file. The
+    second row lists nothing new: each partition lists the file once,
+    the state reads as one apply, the report counts the file once and
+    vacuum keeps it."""
+    lake = new_lake(tmp_path)
+    lake.apply_window(
+        make_ds([ev(i + 1, "insert", f"r{i}", "f.py", "c", "py", f"v{i}") for i in range(40)]),
+        0, 40,
+    )
+    once = read_rows(lake)
+    [row] = [e for e in lake.ledger.entries() if e["kind"] == "window"]
+    assert any(len(held) > 1 for held in row["files"].values())  # a shared file
+    del row["_seq"]
+    lake.ledger.append(row)  # the racing handle's row
+    for handle in (lake, LakeTable.open(lake.dir)):
+        live = handle.live_files()
+        for f, held in row["files"].items():
+            for p in held:
+                assert live[int(p)].count(os.path.join(lake.dir, f)) == 1, (f, p)
+        assert read_rows(handle) == once
+        assert handle.ingest_report()["live_files"] == len(row["files"])
+    lake.vacuum(keep_history=0)
+    assert all(os.path.exists(os.path.join(lake.dir, f)) for f in row["files"])
+    assert read_rows(LakeTable.open(lake.dir)) == once
 
 
 def test_diff_as_of(ray_session, tmp_path):
@@ -1305,21 +1355,27 @@ def test_lookup_as_of_sees_pre_delete_state(ray_session, tmp_path):
     assert out.num_rows == 1 and out["content"][0].as_py() == "body 10"
 
 
-def test_lookup_survives_compaction_and_legacy_entries(ray_session, tmp_path):
+def test_lookup_survives_compaction_and_rows_without_zone_maps(ray_session, tmp_path):
+    """A ledger row without zone maps (``key_stats``) never prunes its
+    file: a lookup reads it, and compaction records fresh stats."""
     import json
 
     lake = _lookup_lake(tmp_path)
-    # simulate a legacy (pre-zone-map) ledger row: strip key_stats
     led = lake.ledger
     names = sorted(
         n for n in os.listdir(led.dir) if n.endswith(".json")
     )
     p0 = os.path.join(led.dir, names[0])
     e = json.load(open(p0))
-    e.pop("key_stats", None)
+    e.pop("key_stats")
     json.dump(e, open(p0, "w"))
+    # rows rewritten under a live instance: a fresh reader replays them
+    lake = LakeTable.open(lake.dir)
     got = lake.lookup([{"repo": "r0050", "path": "f.py"}])
     assert got.num_rows == 1 and got["content"][0].as_py() == "updated"
+    # a key held only by the file without zone maps
+    got = lake.lookup([{"repo": "r0010", "path": "f.py"}])
+    assert got.num_rows == 1 and got["content"][0].as_py() == "body 10"
     # compaction rewrites files and records fresh stats
     lake.compact()
     got2 = lake.lookup([{"repo": "r0050", "path": "f.py"}])
@@ -1520,13 +1576,14 @@ def test_ledger_checkpoint_fast_path_equals_full_replay(tmp_path):
     for i in range(4):
         led.append(
             {"kind": "window", "lo": i, "hi": i + 1,
-             "files": {"0": f"part=00000/delta-{i}.parquet"}}
+             "files": {f"part=00000/delta-{i}.parquet": {"0": 100}}}
         )
     led.append(
-        {"kind": "compact", "parts": {"0": {
+        {"kind": "compact", "parts": {"0": [{
             "file": "part=00000/base-1.parquet",
             "replaces": ["part=00000/delta-0.parquet", "part=00000/delta-1.parquet"],
-        }}}
+            "bytes": 150,
+        }]}}
     )
     full = _views(_full_replay(led.dir))
     seq = led.checkpoint()
@@ -1543,7 +1600,8 @@ def test_ledger_checkpoint_fast_path_equals_full_replay(tmp_path):
     # rows after the checkpoint keep accumulating on top of it
     led.append(
         {"kind": "window", "lo": 4, "hi": 5,
-         "files": {"0": "part=00000/delta-4.parquet", "3": "part=00003/delta-4.parquet"}}
+         "files": {"part=00000/delta-4.parquet": {"0": 100},
+                   "part=00003/delta-4.parquet": {"3": 100}}}
     )
     assert _views(led.state()) == _views(_full_replay(led.dir))
     assert _views(fresh.state()) == _views(_full_replay(led.dir))
@@ -1557,8 +1615,8 @@ def test_ledger_checkpoint_ignored_by_time_travel(tmp_path):
     from jitsu_ray.state.ledger import Ledger
 
     led = Ledger(str(tmp_path / "ledger"))
-    led.append({"kind": "window", "lo": 0, "hi": 1, "files": {"0": "a.parquet"}})
-    led.append({"kind": "window", "lo": 1, "hi": 2, "files": {"0": "b.parquet"}})
+    led.append({"kind": "window", "lo": 0, "hi": 1, "files": {"a.parquet": {"0": 100}}})
+    led.append({"kind": "window", "lo": 1, "hi": 2, "files": {"b.parquet": {"0": 100}}})
     led.checkpoint()
     as_of = led.live_files(as_of_hi=1)
     assert as_of == {0: ["a.parquet"]}
@@ -1573,7 +1631,7 @@ def test_ledger_checkpoint_exact_seq_claim(tmp_path):
     from jitsu_ray.state.ledger import Ledger
 
     led = Ledger(str(tmp_path / "ledger"))
-    led.append({"kind": "window", "lo": 0, "hi": 1, "files": {"0": "a.parquet"}})
+    led.append({"kind": "window", "lo": 0, "hi": 1, "files": {"a.parquet": {"0": 100}}})
     with _pytest.raises(FileExistsError):
         led._append_at({"kind": "checkpoint", "hi": 0, "parts": {}}, 1)
 
@@ -1591,7 +1649,7 @@ def test_ledger_checkpoint_exact_seq_claim(tmp_path):
             if not self.fired:
                 self.fired = True
                 Ledger(led.dir).append(
-                    {"kind": "window", "lo": 1, "hi": 2, "files": {"0": "late.parquet"}}
+                    {"kind": "window", "lo": 1, "hi": 2, "files": {"late.parquet": {"0": 100}}}
                 )
             return st
 
@@ -2367,8 +2425,8 @@ def test_tiered_compaction_bounded_and_deferred(ray_session, tmp_path):
     # to the FIRST window still resolves
     replaced = [
         f
-        for info in entry["parts"].values()
-        for one in (info if isinstance(info, list) else [info])
+        for folds in entry["parts"].values()
+        for one in folds
         for f in one["replaces"]
     ]
     assert replaced and all(
@@ -2687,7 +2745,7 @@ def test_tiered_compaction_pairs_stalled_singletons(ray_session, tmp_path):
     files = lake.live_files()[0]
     budget = min(os.path.getsize(f) for f in files) - 1
     entry = lake.compact(min_files=2, max_input_bytes=budget)
-    [info] = entry["parts"].values()
+    [[info]] = entry["parts"].values()
     assert info["fallback"] is True and len(info["replaces"]) == 2
     assert len(lake.live_files()[0]) == 2
     assert _state(lake) == before
@@ -2858,11 +2916,7 @@ def _entry_files(entry: dict) -> list[str]:
     """Files a compact or split ledger row wrote."""
     if entry["kind"] == "split":
         return [i["file"] for infos in entry["parts"].values() for i in infos]
-    return [
-        one["file"]
-        for info in entry["parts"].values()
-        for one in (info if isinstance(info, list) else [info])
-    ]
+    return [one["file"] for folds in entry["parts"].values() for one in folds]
 
 
 def _footer_keys(path: str) -> set[bytes]:
@@ -2929,7 +2983,7 @@ def test_every_lake_write_path_is_zstd(ray_session, tmp_path):
     written["tiered fold"] = _entry_files(tiered)
     sizes = [os.path.getsize(f) for f in lake.live_files()[0]]
     stalled = lake.compact(min_files=2, max_input_bytes=min(sizes) - 1)
-    assert stalled["parts"]["0"]["fallback"] is True
+    assert stalled["parts"]["0"][0]["fallback"] is True
     written["fallback fold"] = _entry_files(stalled)
     written["window"] += window(20)
     written["full fold"] = _entry_files(lake.compact(min_files=2))
@@ -2991,23 +3045,13 @@ def test_lake_files_smaller_than_previous_format(tmp_path):
 
 def test_mixed_codec_lake_reads_identically_and_compacts_to_zstd(ray_session, tmp_path):
     """Parquet records the codec, the encodings and the statistics per
-    column chunk, so a lake whose first windows were written by older
-    code (snappy, then zstd, both with statistics on every column, then
-    zstd-1 with dictionaries and zone-column statistics, then zstd-3
-    plain with zone-column statistics and a ``.bloom.npz`` sidecar; all
-    four with an ARROW:schema footer key) reads, looks up, range-scans
-    and reports max_row_seq exactly like a twin written in the current
-    format. The legacy sidecar is never read, so its file fails open:
-    the lookup's skip counts equal the twin's with that file's sidecar
-    removed. The next compaction rewrites every file in the current
-    format, and vacuum removes the legacy sidecars with their files."""
-    import glob
-
-    import numpy as np
-
-    from jitsu_ray.ops.sketch import BloomFilter
-    from jitsu_ray.sinks.lake import _LEGACY_BLOOM_SUFFIX
-    from jitsu_ray.util import hash64_column
+    column chunk, so a lake whose first windows were written with other
+    Parquet settings (snappy, then zstd, both with statistics on every
+    column, then zstd-1 with dictionaries and zone-column statistics,
+    then zstd-3 plain with zone-column statistics; all four with an
+    ARROW:schema footer key) reads, looks up, range-scans and reports
+    max_row_seq exactly like a twin written with the lake's own
+    settings. The next compaction rewrites every file with them."""
 
     def build(name):
         lake = LakeTable.create(
@@ -3035,9 +3079,8 @@ def test_mixed_codec_lake_reads_identically_and_compacts_to_zstd(ray_session, tm
     # zone-only statistics; window 2 zstd-1 with zone-column
     # statistics, the format before plain encoding; window 3 zstd-3
     # plain with zone-column statistics, the format before lean
-    # footers, whose sidecar is also rewritten in the .npz layout.
-    # The other windows' Bloom sidecars depend on the keys only and
-    # stay as they are.
+    # footers. Bloom sidecars depend on the keys only and stay as they
+    # are.
     formats = [
         {"compression": "snappy"},
         {"compression": "zstd"},
@@ -3046,23 +3089,13 @@ def test_mixed_codec_lake_reads_identically_and_compacts_to_zstd(ray_session, tm
          "data_page_size": 8 << 20, "write_statistics": zone},
     ]
     target = mixed.full_arrow_schema()
-    old, legacy_bloom = {}, []
+    old = {}
     for e, fmt in zip(mixed.ledger.entries()[:4], formats):
         assert e["kind"] == "window"
         for rel in e["files"]:
             path = os.path.join(mixed.dir, rel)
-            tbl = pq.read_table(path, schema=target)
-            pq.write_table(tbl, path, **fmt)
+            pq.write_table(pq.read_table(path, schema=target), path, **fmt)
             old[rel] = fmt
-            if fmt is formats[3]:
-                bf = BloomFilter.build(hash64_column(tbl, ["repo", "path"]).to_numpy())
-                with open(path + _LEGACY_BLOOM_SUFFIX, "wb") as fh:
-                    np.savez(fh, bits=bf.bits, m=np.int64(bf.m), k=np.int64(bf.k))
-                os.unlink(path + _BLOOM_SUFFIX)
-                # the twin's file fails open the same way, sidecar missing
-                os.unlink(os.path.join(twin.dir, rel) + _BLOOM_SUFFIX)
-                legacy_bloom.append(rel)
-    assert legacy_bloom
     for fs in mixed.live_files().values():
         for f in fs:
             rel = os.path.relpath(f, mixed.dir)
@@ -3091,15 +3124,13 @@ def test_mixed_codec_lake_reads_identically_and_compacts_to_zstd(ray_session, tm
     assert sst["files_full"] < sst["files_total"]
     entry = mixed.compact(min_files=2)
     assert set(old) <= {
-        f for info in entry["parts"].values() for f in info["replaces"]
+        f for folds in entry["parts"].values() for one in folds for f in one["replaces"]
     }
     for fs in mixed.live_files().values():
         for f in fs:
             _assert_current_format(f, ["repo", "path"])
     assert _state(mixed) == _state(twin)
     assert mixed.max_row_seq() == 900
-    mixed.vacuum()
-    assert not glob.glob(os.path.join(mixed.dir, "part=*", "*" + _LEGACY_BLOOM_SUFFIX))
 
 
 def _fixed_point_lake(path: str):
@@ -3127,12 +3158,9 @@ def _run_heads(lake) -> dict[str, str]:
     anchors the ledger records."""
     head: dict[str, str] = {}
     for e in lake.ledger.entries():
-        if e["kind"] == "compact":
-            infos = [o for i in e["parts"].values() for o in (i if isinstance(i, list) else [i])]
-        elif e["kind"] == "split":
-            infos = [o for i in e["parts"].values() for o in i]
-        else:
+        if e["kind"] not in ("compact", "split"):
             continue
+        infos = [o for i in e["parts"].values() for o in i]
         for one in infos:
             a = one.get("insert_after")
             head[one["file"]] = head.get(a, a) if a else one["file"]
@@ -3186,8 +3214,8 @@ def test_maintain_reaches_fixed_point(ray_session, tmp_path, split, cluster_by, 
         assert not out["splits"] or i == 0
         assert out["splits"] or n <= counts[-1]
         replaced = {
-            f for info in out["compact"].get("parts", {}).values()
-            for one in (info if isinstance(info, list) else [info])
+            f for folds in out["compact"].get("parts", {}).values()
+            for one in folds
             for f in one["replaces"]
         }
         for members in runs.values():
@@ -3360,12 +3388,11 @@ def test_vacuum_sweeps_stragglers_and_keeps_one_pass_of_names(ray_session, tmp_p
 
 
 def test_vacuum_removes_current_and_legacy_sidecars(ray_session, tmp_path):
-    """vacuum unlinks a removed file's ``.bloom`` sidecar and a legacy
-    ``.bloom.npz`` one next to it, so a lake written before the raw
-    layout leaks no sidecar. A straggler whose only leftover is a legacy
-    sidecar (a crash after its other unlinks) is swept by the next
+    """vacuum unlinks a removed file's ``.bloom`` sidecar with it, so a
+    pass leaks no sidecar. A straggler whose only leftover is its
+    sidecar (a crash after the data file's unlink) is swept by the next
     pass, with no new row."""
-    from jitsu_ray.sinks.lake import _LAKE_FILE_SUFFIXES, _LEGACY_BLOOM_SUFFIX
+    from jitsu_ray.sinks.lake import _LAKE_FILE_SUFFIXES
 
     def paths(rel):
         return [os.path.join(lake.dir, rel + x) for x in _LAKE_FILE_SUFFIXES]
@@ -3378,39 +3405,36 @@ def test_vacuum_removes_current_and_legacy_sidecars(ray_session, tmp_path):
     lake.compact()
     first = sorted(lake.ledger.state().pending)
     assert len(first) == 3
-    for f in first:  # as a lake written before the raw layout holds them
-        with open(os.path.join(lake.dir, f) + _LEGACY_BLOOM_SUFFIX, "wb") as fh:
-            fh.write(b"legacy")
-        assert all(map(os.path.exists, paths(f)))
+    assert all(os.path.exists(p) for f in first for p in paths(f))
     out = lake.vacuum(keep_history=0)
     assert sorted(out["removed"]) == first and out["removed_now"] == 3
     assert not [p for f in first for p in paths(f) if os.path.exists(p)]
-    legacy = os.path.join(lake.dir, first[0]) + _LEGACY_BLOOM_SUFFIX
-    with open(legacy, "wb") as fh:
-        fh.write(b"legacy")
+    sidecar = os.path.join(lake.dir, first[0]) + _BLOOM_SUFFIX
+    with open(sidecar, "wb") as fh:
+        fh.write(b"left over")
     seq = lake.ledger.max_seq()
     out = lake.vacuum(keep_history=0)
     assert out["removed"] == [first[0]] and out["removed_now"] == 0
-    assert not os.path.exists(legacy)
+    assert not os.path.exists(sidecar)
     assert lake.ledger.max_seq() == seq
     assert len(lake.read().take_all()) == 3
 
 
 def test_only_the_lake_module_spells_a_sidecar_suffix():
-    """The Bloom sidecar suffixes are spelled once each, as constants in
-    sinks/lake.py; no other engine module spells one."""
+    """The Bloom sidecar suffix is spelled once, as a constant in
+    sinks/lake.py; no other engine module spells it."""
     import pathlib
     import re
 
     import jitsu_ray
 
     root = pathlib.Path(jitsu_ray.__file__).parent
-    spelled = re.compile(r"""(["'}])\.bloom(\.npz)?["']""")
+    spelled = re.compile(r"""(["'}])\.bloom["']""")
     found = {
         str(p.relative_to(root)): len(spelled.findall(p.read_text()))
         for p in sorted(root.rglob("*.py"))
     }
-    assert {p: n for p, n in found.items() if n} == {os.path.join("sinks", "lake.py"): 2}
+    assert {p: n for p, n in found.items() if n} == {os.path.join("sinks", "lake.py"): 1}
 
 
 def test_lake_random_interleaving_matches_oracle(ray_session, tmp_path):
@@ -4279,46 +4303,6 @@ def test_where_spec_identity_and_literals(ray_session, tmp_path):
         compile_where([("lang", "in", ["py", b"x"])])
     with pytest.raises(ValueError, match="finite"):
         where_sql([("score", "=", float("nan"))])
-
-
-def test_filter_identity_legacy_tag_accepted(ray_session, tmp_path):
-    """Upgrade path: a replica whose stored round tag carries the
-    PRE-round-5 filter identity (conjuncts in caller order, in-lists
-    undeduped) must NOT take a spurious full resync when the same spec
-    is passed again — and the next round re-records the new form."""
-    import glob
-    import json
-
-    from jitsu_ray.pipelines.replicate import (
-        _legacy_filter_identity,
-        replicate,
-    )
-
-    src = LakeTable.create(str(tmp_path / "src"), ["repo", "path"], 2)
-    src.apply_window(
-        make_ds([ev(1, "insert", "r1", "a", "c1", "py", "v1")]), 0, 1
-    )
-    dst = LakeTable.create(str(tmp_path / "dst"), ["repo", "path"], 2)
-    spec = [("repo", "!=", "zzz"), ("lang", "in", ["py", "go", "py"])]
-    assert replicate(src, dst, where=spec)["mode"] == "incremental"
-    # rewrite the stored tag to the legacy canonical form in place
-    legacy = _legacy_filter_identity(spec, None)
-    rewritten = 0
-    for f in sorted(glob.glob(os.path.join(dst.dir, "_ledger", "*.json"))):
-        with open(f) as fh:
-            e = json.load(fh)
-        rep = (e.get("metrics") or {}).get("replication")
-        if rep and rep.get("filter"):
-            assert rep["filter"] != legacy  # new form really differs
-            rep["filter"] = legacy
-            with open(f, "w") as fh:
-                json.dump(e, fh)
-            rewritten += 1
-    assert rewritten == 1
-    # same spec against the legacy tag: noop, not resync
-    assert replicate(src, dst, where=spec)["mode"] == "noop"
-    # a genuinely different spec still resyncs
-    assert replicate(src, dst, where=[("repo", "!=", "aaa")])["mode"] == "resync"
 
 
 def test_replica_keys_only_and_degenerate_specs(ray_session, tmp_path):
